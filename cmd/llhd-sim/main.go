@@ -4,17 +4,11 @@
 // -engine svsim. Input may be LLHD assembly text (.llhd), LLHD bitcode,
 // or SystemVerilog source (.sv / .v — required for -engine svsim).
 //
-// The blaze engine has two execution tiers, selected with -tier: the
-// default "bytecode" tier lowers every unit to flat fixed-width bytecode
-// run by a threaded dispatch loop; the "closure" tier is the original
-// per-instruction closure arrays, kept as the differential reference.
-// Both produce byte-identical traces.
-//
 // Usage:
 //
-//	llhd-sim [-top name] [-engine interp|blaze|svsim] [-tier bytecode|closure]
-//	         [-t 100us] [-steps N] [-timeout 30s] [-vcd out.vcd] [-trace]
-//	         [-stats-json] [-j N] design.{llhd,bc,sv}
+//	llhd-sim [-top name] [-engine interp|blaze|svsim] [-t 100us] [-steps N]
+//	         [-timeout 30s] [-vcd out.vcd] [-trace] [-stats-json] [-j N]
+//	         design.{llhd,bc,sv}
 //
 // With -j N the design is run as a concurrent sweep: N independent
 // sessions over one shared frozen design (one blaze compile, N register
@@ -27,7 +21,7 @@
 //
 // Exit status distinguishes the failure classes of the runtime's error
 // taxonomy: 0 for a clean run, 1 for assertion failures (or input
-// errors), 2 when a resource quota stopped the run (-steps, -timeout, or
+// errors, including unknown flags), 2 when a resource quota stopped the run (-steps, -timeout, or
 // a library-imposed limit), 3 for an internal runtime error or contained
 // engine panic — the structured diagnostic (failure kind, instant,
 // process, stack for panics) is printed to stderr.
@@ -50,11 +44,11 @@ import (
 	"llhd/internal/simserver"
 )
 
-const usageText = `usage: llhd-sim [-top name] [-engine interp|blaze|svsim]
-                [-tier bytecode|closure] [-t 100us] [-steps N] [-timeout 30s]
-                [-vcd out.vcd] [-trace] [-stats-json] [-j N] design.{llhd,bc,sv}
+const usageText = `usage: llhd-sim [-top name] [-engine interp|blaze|svsim] [-t 100us]
+                [-steps N] [-timeout 30s] [-vcd out.vcd] [-trace]
+                [-stats-json] [-j N] design.{llhd,bc,sv}
 
-exit status: 0 ok | 1 assertion failures or input errors
+exit status: 0 ok | 1 assertion failures, input or usage errors
              2 resource quota exceeded (step/deadline/event/memory limit,
                cancellation) | 3 internal runtime error or engine panic
 
@@ -62,23 +56,30 @@ flags:
 `
 
 func main() {
-	flag.Usage = func() {
-		fmt.Fprint(flag.CommandLine.Output(), usageText)
-		flag.PrintDefaults()
+	// ContinueOnError keeps usage errors on exit status 1: the flag
+	// package's default exit status 2 means a resource quota here.
+	fs := flag.NewFlagSet("llhd-sim", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprint(fs.Output(), usageText)
+		fs.PrintDefaults()
 	}
-	top := flag.String("top", "", "top unit to elaborate (default: last entity in the module; required for -engine svsim)")
-	engineName := flag.String("engine", "interp", "simulation engine: interp, blaze, or svsim")
-	tierName := flag.String("tier", "bytecode", "blaze execution tier: bytecode (threaded dispatch) or closure (the original reference)")
-	limit := flag.String("t", "", "simulation time limit, e.g. 100us (default: run to quiescence)")
-	steps := flag.Int("steps", 0, "deterministic instant budget: stop with exit status 2 after N instants (0: unlimited)")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget: stop with exit status 2 after this long (0: unlimited)")
-	trace := flag.Bool("trace", false, "stream every signal change to stdout")
-	statsJSON := flag.Bool("stats-json", false, "emit the final statistics and failure class as one JSON object on stdout (the llhd-serve result schema)")
-	vcdPath := flag.String("vcd", "", "write the waveform as VCD to this file")
-	jobs := flag.Int("j", 1, "run N concurrent sessions over one shared frozen design (sweep mode)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
+	top := fs.String("top", "", "top unit to elaborate (default: last entity in the module; required for -engine svsim)")
+	engineName := fs.String("engine", "interp", "simulation engine: interp, blaze, or svsim")
+	limit := fs.String("t", "", "simulation time limit, e.g. 100us (default: run to quiescence)")
+	steps := fs.Int("steps", 0, "deterministic instant budget: stop with exit status 2 after N instants (0: unlimited)")
+	timeout := fs.Duration("timeout", 0, "wall-clock budget: stop with exit status 2 after this long (0: unlimited)")
+	trace := fs.Bool("trace", false, "stream every signal change to stdout")
+	statsJSON := fs.Bool("stats-json", false, "emit the final statistics and failure class as one JSON object on stdout (the llhd-serve result schema)")
+	vcdPath := fs.String("vcd", "", "write the waveform as VCD to this file")
+	jobs := fs.Int("j", 1, "run N concurrent sessions over one shared frozen design (sweep mode)")
+	if err := fs.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(1)
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
 		os.Exit(1)
 	}
 	if *jobs > 1 && (*trace || *vcdPath != "" || *statsJSON) {
@@ -88,14 +89,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tier, err := llhd.ParseBlazeTier(*tierName)
-	if err != nil {
-		fatal(err)
-	}
-	if tier != llhd.TierBytecode && kind != llhd.Blaze {
-		fatal(fmt.Errorf("-tier %s needs -engine blaze", tier))
-	}
-	path := flag.Arg(0)
+	path := fs.Arg(0)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
@@ -113,9 +107,6 @@ func main() {
 	opts := []llhd.SessionOption{
 		llhd.Backend(kind),
 		llhd.WithDisplay(func(s string) { fmt.Println(s) }),
-	}
-	if kind == llhd.Blaze {
-		opts = append(opts, llhd.WithBlazeTier(tier))
 	}
 	if *top != "" {
 		opts = append(opts, llhd.Top(*top))

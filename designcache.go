@@ -12,9 +12,9 @@ import (
 // DesignCache is the content-addressed compiled-design cache: a blaze
 // design compiles once per content, ever, no matter how many sessions,
 // farm jobs, or server submissions reference it. The cache key is a
-// stable hash of the module's bitcode encoding plus the top name and
-// execution tier, so two independently parsed copies of the same design
-// share one CompiledDesign.
+// stable hash of the module's bitcode encoding plus the top name, so two
+// independently parsed copies of the same design share one
+// CompiledDesign.
 //
 // Three layers, hot to cold: an in-process LRU of warm compiled designs
 // (a hit skips freeze and compile), a source memo keyed by raw source
@@ -87,22 +87,22 @@ func (dc *DesignCache) SetCompileHook(f func(key string)) {
 // Stats returns a snapshot of the effectiveness counters.
 func (dc *DesignCache) Stats() CacheStats { return dc.c.Stats() }
 
-// Load returns the compiled design for (m, top, tier), compiling at
+// Load returns the compiled design for (m, top), compiling at
 // most once per content. The hit result reports a warm hit: the design
 // was already resident and m was neither frozen nor compiled; on a miss
 // m is frozen (Module.Freeze) and retained by the design. An empty top
 // resolves to the module's last entity.
-func (dc *DesignCache) Load(m *Module, top string, tier BlazeTier) (*CompiledDesign, bool, error) {
-	return dc.c.Load(m, top, tier)
+func (dc *DesignCache) Load(m *Module, top string) (*CompiledDesign, bool, error) {
+	return dc.c.Load(m, top)
 }
 
 // LoadAssembly is Load for LLHD assembly source: a warm source hit skips
 // the parser too, and with the on-disk layer the parse survives process
 // restarts. With lower set, the §4 lowering pipeline runs before
 // hashing, so the artifact (and the cache key) is the lowered design.
-func (dc *DesignCache) LoadAssembly(name, src, top string, tier BlazeTier, lower bool) (*CompiledDesign, bool, error) {
+func (dc *DesignCache) LoadAssembly(name, src, top string, lower bool) (*CompiledDesign, bool, error) {
 	meta := fmt.Sprintf("llhd\x00%s\x00%t", name, lower)
-	return dc.c.LoadSource(meta, []byte(src), top, tier, func() (*ir.Module, error) {
+	return dc.c.LoadSource(meta, []byte(src), top, func() (*ir.Module, error) {
 		m, err := assembly.Parse(name, src)
 		if err != nil {
 			return nil, err
@@ -119,9 +119,9 @@ func (dc *DesignCache) LoadAssembly(name, src, top string, tier BlazeTier, lower
 // LoadSystemVerilog is LoadAssembly for SystemVerilog source compiled
 // through the Moore frontend: a warm source hit skips the frontend, and
 // with lower set also the lowering pipeline.
-func (dc *DesignCache) LoadSystemVerilog(name, src, top string, tier BlazeTier, lower bool) (*CompiledDesign, bool, error) {
+func (dc *DesignCache) LoadSystemVerilog(name, src, top string, lower bool) (*CompiledDesign, bool, error) {
 	meta := fmt.Sprintf("sv\x00%s\x00%t", name, lower)
-	return dc.c.LoadSource(meta, []byte(src), top, tier, func() (*ir.Module, error) {
+	return dc.c.LoadSource(meta, []byte(src), top, func() (*ir.Module, error) {
 		m, err := moore.Compile(name, src)
 		if err != nil {
 			return nil, err

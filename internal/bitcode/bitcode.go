@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"llhd/internal/ir"
 	"llhd/internal/logic"
@@ -251,22 +252,22 @@ func Decode(data []byte) (*ir.Module, error) {
 	}
 	d := &decoder{buf: bytes.NewBuffer(data[len(magic):])}
 
-	nstr, err := d.uvarint()
+	nstr, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nstr; i++ {
+	for i := 0; i < nstr; i++ {
 		s, err := d.str()
 		if err != nil {
 			return nil, err
 		}
 		d.strings = append(d.strings, s)
 	}
-	ntypes, err := d.uvarint()
+	ntypes, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < ntypes; i++ {
+	for i := 0; i < ntypes; i++ {
 		t, err := d.typeDef()
 		if err != nil {
 			return nil, err
@@ -278,11 +279,11 @@ func Decode(data []byte) (*ir.Module, error) {
 		return nil, err
 	}
 	m := ir.NewModule(name)
-	nunits, err := d.uvarint()
+	nunits, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nunits; i++ {
+	for i := 0; i < nunits; i++ {
 		u, err := d.unit()
 		if err != nil {
 			return nil, err
@@ -304,16 +305,39 @@ func (d *decoder) uvarint() (uint64, error) {
 	return binary.ReadUvarint(d.buf)
 }
 
-func (d *decoder) str() (string, error) {
+// count reads an element count. Every element takes at least one byte, so
+// a count beyond the remaining input is corrupt: rejecting it here keeps
+// damaged input from sizing allocations.
+func (d *decoder) count() (int, error) {
 	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(d.buf.Len()) {
+		return 0, fmt.Errorf("bitcode: count %d exceeds the %d remaining bytes", n, d.buf.Len())
+	}
+	return int(n), nil
+}
+
+// width reads a type width or array length, rejecting values no valid
+// design reaches (and that would overflow int on conversion).
+func (d *decoder) width() (int, error) {
+	w, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if w > math.MaxInt32 {
+		return 0, fmt.Errorf("bitcode: type width %d out of range", w)
+	}
+	return int(w), nil
+}
+
+func (d *decoder) str() (string, error) {
+	n, err := d.count()
 	if err != nil {
 		return "", err
 	}
-	b := make([]byte, n)
-	if _, err := d.buf.Read(b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return string(d.buf.Next(n)), nil
 }
 
 func (d *decoder) strRef() (string, error) {
@@ -321,7 +345,7 @@ func (d *decoder) strRef() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if int(i) >= len(d.strings) {
+	if i >= uint64(len(d.strings)) {
 		return "", fmt.Errorf("bitcode: string index %d out of range", i)
 	}
 	return d.strings[i], nil
@@ -332,7 +356,7 @@ func (d *decoder) typeRef() (*ir.Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int(i) >= len(d.types) {
+	if i >= uint64(len(d.types)) {
 		return nil, fmt.Errorf("bitcode: type index %d out of range", i)
 	}
 	return d.types[i], nil
@@ -350,17 +374,20 @@ func (d *decoder) typeDef() (*ir.Type, error) {
 	case ir.TimeKind:
 		return ir.TimeType(), nil
 	case ir.IntKind, ir.EnumKind, ir.LogicKind:
-		w, err := d.uvarint()
+		w, err := d.width()
 		if err != nil {
 			return nil, err
 		}
+		if w == 0 {
+			return nil, fmt.Errorf("bitcode: zero-width type of kind %d", kind)
+		}
 		switch kind {
 		case ir.IntKind:
-			return ir.IntType(int(w)), nil
+			return ir.IntType(w), nil
 		case ir.EnumKind:
-			return ir.EnumType(int(w)), nil
+			return ir.EnumType(w), nil
 		default:
-			return ir.LogicType(int(w)), nil
+			return ir.LogicType(w), nil
 		}
 	case ir.PointerKind, ir.SignalKind:
 		elem, err := d.typeRef()
@@ -372,7 +399,7 @@ func (d *decoder) typeDef() (*ir.Type, error) {
 		}
 		return ir.SignalType(elem), nil
 	case ir.ArrayKind:
-		n, err := d.uvarint()
+		n, err := d.width()
 		if err != nil {
 			return nil, err
 		}
@@ -380,9 +407,9 @@ func (d *decoder) typeDef() (*ir.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ir.ArrayType(int(n), elem), nil
+		return ir.ArrayType(n, elem), nil
 	case ir.StructKind:
-		n, err := d.uvarint()
+		n, err := d.count()
 		if err != nil {
 			return nil, err
 		}
@@ -400,7 +427,7 @@ func (d *decoder) typeDef() (*ir.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := d.uvarint()
+		n, err := d.count()
 		if err != nil {
 			return nil, err
 		}
@@ -429,11 +456,11 @@ func (d *decoder) unit() (*ir.Unit, error) {
 	u := &ir.Unit{Kind: ir.UnitKind(kindByte), Name: name, RetType: ir.VoidType()}
 
 	var values []ir.Value
-	nin, err := d.uvarint()
+	nin, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nin; i++ {
+	for i := 0; i < nin; i++ {
 		an, err := d.strRef()
 		if err != nil {
 			return nil, err
@@ -444,11 +471,11 @@ func (d *decoder) unit() (*ir.Unit, error) {
 		}
 		values = append(values, u.AddInput(an, at))
 	}
-	nout, err := d.uvarint()
+	nout, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nout; i++ {
+	for i := 0; i < nout; i++ {
 		an, err := d.strRef()
 		if err != nil {
 			return nil, err
@@ -463,7 +490,7 @@ func (d *decoder) unit() (*ir.Unit, error) {
 		return nil, err
 	}
 
-	nblocks, err := d.uvarint()
+	nblocks, err := d.count()
 	if err != nil {
 		return nil, err
 	}
@@ -478,23 +505,21 @@ func (d *decoder) unit() (*ir.Unit, error) {
 	}
 	var pending []pendingRefs
 	var blocks []*ir.Block
-	counts := make([]uint64, nblocks)
 	// First pass: blocks must exist before branches reference them, so
 	// read block headers and instruction payloads in one sweep, creating
 	// blocks lazily in order.
-	for bi := uint64(0); bi < nblocks; bi++ {
+	for bi := 0; bi < nblocks; bi++ {
 		bn, err := d.strRef()
 		if err != nil {
 			return nil, err
 		}
 		b := u.AddBlock(bn)
 		blocks = append(blocks, b)
-		n, err := d.uvarint()
+		n, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		counts[bi] = n
-		for ii := uint64(0); ii < n; ii++ {
+		for ii := 0; ii < n; ii++ {
 			in, refs, err := d.inst()
 			if err != nil {
 				return nil, err
@@ -506,35 +531,53 @@ func (d *decoder) unit() (*ir.Unit, error) {
 		}
 	}
 	// Second pass: resolve value and block references.
+	value := func(r uint64) (ir.Value, error) {
+		if r >= uint64(len(values)) {
+			return nil, fmt.Errorf("bitcode: value ref %d out of range", r)
+		}
+		return values[r], nil
+	}
 	for _, p := range pending {
 		in := p.in
 		for _, r := range p.args {
-			if int(r) >= len(values) {
-				return nil, fmt.Errorf("bitcode: value ref %d out of range", r)
+			v, err := value(r)
+			if err != nil {
+				return nil, err
 			}
-			in.Args = append(in.Args, values[r])
+			in.Args = append(in.Args, v)
 		}
 		for _, r := range p.dests {
-			if int(r) >= len(blocks) {
+			if r >= uint64(len(blocks)) {
 				return nil, fmt.Errorf("bitcode: block ref %d out of range", r)
 			}
 			in.Dests = append(in.Dests, blocks[r])
 		}
 		if p.timeArg != nil {
-			in.TimeArg = values[*p.timeArg]
+			if in.TimeArg, err = value(*p.timeArg); err != nil {
+				return nil, err
+			}
 		}
 		if p.delay != nil {
-			in.Delay = values[*p.delay]
+			if in.Delay, err = value(*p.delay); err != nil {
+				return nil, err
+			}
 		}
 		for i, tr := range p.trigs {
-			t := ir.RegTrigger{Mode: p.modes[i], Value: values[tr[0]], Trigger: values[tr[1]]}
+			t := ir.RegTrigger{Mode: p.modes[i]}
+			if t.Value, err = value(tr[0]); err != nil {
+				return nil, err
+			}
+			if t.Trigger, err = value(tr[1]); err != nil {
+				return nil, err
+			}
 			if tr[2] != ^uint64(0) {
-				t.Gate = values[tr[2]]
+				if t.Gate, err = value(tr[2]); err != nil {
+					return nil, err
+				}
 			}
 			in.Triggers = append(in.Triggers, t)
 		}
 	}
-	_ = counts
 	return u, nil
 }
 
@@ -603,13 +646,13 @@ func (d *decoder) inst() (*ir.Inst, *struct {
 		return nil, nil, err
 	}
 	in.NumIns = int(numIns)
-	nlogic, err := d.uvarint()
+	nlogic, err := d.count()
 	if err != nil {
 		return nil, nil, err
 	}
 	if nlogic > 0 {
 		in.LVal = make(logic.Vector, nlogic)
-		for i := uint64(0); i < nlogic; i++ {
+		for i := 0; i < nlogic; i++ {
 			lb, err := d.buf.ReadByte()
 			if err != nil {
 				return nil, nil, err
@@ -618,22 +661,22 @@ func (d *decoder) inst() (*ir.Inst, *struct {
 		}
 	}
 
-	nargs, err := d.uvarint()
+	nargs, err := d.count()
 	if err != nil {
 		return nil, nil, err
 	}
-	for i := uint64(0); i < nargs; i++ {
+	for i := 0; i < nargs; i++ {
 		r, err := d.uvarint()
 		if err != nil {
 			return nil, nil, err
 		}
 		refs.args = append(refs.args, r)
 	}
-	ndests, err := d.uvarint()
+	ndests, err := d.count()
 	if err != nil {
 		return nil, nil, err
 	}
-	for i := uint64(0); i < ndests; i++ {
+	for i := 0; i < ndests; i++ {
 		r, err := d.uvarint()
 		if err != nil {
 			return nil, nil, err
@@ -662,11 +705,11 @@ func (d *decoder) inst() (*ir.Inst, *struct {
 		}
 		refs.delay = &r
 	}
-	ntrig, err := d.uvarint()
+	ntrig, err := d.count()
 	if err != nil {
 		return nil, nil, err
 	}
-	for i := uint64(0); i < ntrig; i++ {
+	for i := 0; i < ntrig; i++ {
 		modeByte, err := d.buf.ReadByte()
 		if err != nil {
 			return nil, nil, err

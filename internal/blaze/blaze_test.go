@@ -65,6 +65,9 @@ proc @counter (i1$ %clk) -> (i32$ %count) {
 }
 `
 
+// TestTracesMatchCounter is the narrowest blaze-vs-interpreter harness:
+// both simulators run the counter directly, with no farm and no session
+// facade, which is where to debug a divergence below the public API.
 func TestTracesMatchCounter(t *testing.T) {
 	m1 := assembly.MustParse("c", counterSrc)
 	m2 := assembly.MustParse("c", counterSrc)

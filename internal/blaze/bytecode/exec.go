@@ -22,12 +22,12 @@ const (
 )
 
 // errStepBudget is the internal runaway-loop sentinel; the entry points
-// format it to match the closure tier's diagnostics exactly.
+// (Exec, invoke) turn it into their step-budget diagnostics.
 var errStepBudget = errors.New("bytecode: step budget exhausted")
 
-// maxJumps bounds control-flow transfers per activation, mirroring the
-// closure tier's per-block step budget: straight-line code stays
-// check-free and only jumps, branches and calls pay the counter.
+// maxJumps bounds control-flow transfers per activation: straight-line
+// code stays check-free and only jumps, branches and calls pay the
+// counter.
 const maxJumps = 100_000_000
 
 // Runtime is the per-session execution state over one shared Program:
@@ -264,7 +264,7 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 		case opMux:
 			choices := &regs[i.A]
 			// Unsigned selector: > MaxInt64 wraps negative and clamps
-			// high, mirroring val.Mux (and the closure tier: no clone).
+			// high, mirroring val.Mux (no clone).
 			k := int(regs[i.B].Bits)
 			if k >= len(choices.Elems) || k < 0 {
 				k = len(choices.Elems) - 1
@@ -440,7 +440,7 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 	}
 }
 
-// regSite executes one reg storage site, mirroring the closure tier's
+// regSite executes one reg storage site, mirroring the interpreter's
 // trigger semantics: first activation samples, later activations fire at
 // most one edge-matched, gate-open trigger.
 func (rt *Runtime) regSite(e *engine.Engine, u *Unit, fr *Frame, regs []val.Value, ri int) {

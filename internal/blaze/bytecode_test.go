@@ -78,9 +78,9 @@ proc @counter (i1$ %clk) -> (i32$ %count) {
 // through a fresh val.Value — is what this test enforces.
 func TestBytecodeWakeHotPathAllocFree(t *testing.T) {
 	m := assembly.MustParse("freerun", bcFreeRunnerSrc)
-	s, err := blaze.NewTier(m, "top", blaze.TierBytecode)
+	s, err := blaze.New(m, "top")
 	if err != nil {
-		t.Fatalf("NewTier: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	e := s.Engine
 	e.Init()
@@ -147,30 +147,27 @@ func TestBytecodeDisasmGolden(t *testing.T) {
 	}
 }
 
-// TestBytecodeTierTraceMatchesClosure runs the counter design on both
-// blaze tiers directly (no farm, no session facade) and requires
-// byte-identical traces — the narrowest possible tier-vs-tier harness,
-// useful when a divergence needs debugging below the public API.
+// TestBytecodeTierTraceMatchesClosure runs the counter design through the
+// sealed compile path (blaze.Compile, then NewSimulator) and requires a
+// trace byte-identical to the interpreter's, with no farm and no session
+// facade. TestTracesMatchCounter covers blaze.New's lazily lowered
+// single-session path; this one covers the shared, sealed design. The
+// name predates the removal of blaze's closure tier, which used to be the
+// reference here; the interpreter is the oracle now.
 func TestBytecodeTierTraceMatchesClosure(t *testing.T) {
-	runTier := func(tier blaze.Tier) []string {
-		m := assembly.MustParse("counter", counterSrc)
-		s, err := blaze.NewTier(m, "top", tier)
-		if err != nil {
-			t.Fatalf("NewTier(%v): %v", tier, err)
-		}
-		tr := simtest.Capture(s.Engine)
-		if err := s.Run(ir.Time{}); err != nil {
-			t.Fatalf("%v run: %v", tier, err)
-		}
-		return simtest.Strings(tr)
+	interp, _ := simtest.InterpTrace(t, assembly.MustParse("counter", counterSrc), "top")
+
+	cd, err := blaze.Compile(assembly.MustParse("counter", counterSrc), "top")
+	if err != nil {
+		t.Fatalf("blaze.Compile: %v", err)
 	}
-	byt, clo := runTier(blaze.TierBytecode), runTier(blaze.TierClosure)
-	if len(byt) != len(clo) {
-		t.Fatalf("trace lengths differ: bytecode %d vs closure %d", len(byt), len(clo))
+	s, err := cd.NewSimulator()
+	if err != nil {
+		t.Fatalf("NewSimulator: %v", err)
 	}
-	for i := range byt {
-		if byt[i] != clo[i] {
-			t.Fatalf("traces diverge at %d: %q vs %q", i, byt[i], clo[i])
-		}
+	tr := simtest.Capture(s.Engine)
+	if err := s.Run(ir.Time{}); err != nil {
+		t.Fatalf("bytecode run: %v", err)
 	}
+	simtest.CompareTraces(t, interp, simtest.Strings(tr))
 }

@@ -5,8 +5,7 @@
 //
 // The cache key is a stable hash of the bitcode-v2 encoding of the
 // module (the canonical content address — pinned byte-stable by the
-// bitcode golden test) plus the top unit name and the blaze execution
-// tier. Identity of the *ir.Module pointer is irrelevant: two
+// bitcode golden test) plus the top unit name. Identity of the *ir.Module pointer is irrelevant: two
 // independently parsed copies of the same design share one compiled
 // artifact.
 //
@@ -25,7 +24,7 @@
 //     the source memo) across runs: a later process resolves the same
 //     source to the same key, decodes the lowered bitcode, and
 //     recompiles without ever re-running the frontend or the passes.
-//     Closures and bytecode streams are process-local, so compilation
+//     Bytecode streams are process-local, so compilation
 //     itself is the one step a fresh process must repeat.
 //
 // Concurrent lookups of one key are single-flighted: the first caller
@@ -43,7 +42,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -55,10 +53,10 @@ import (
 // keyDomain separates the design-key hash from any other use of the
 // underlying bitcode bytes; bump it if the key derivation ever changes
 // incompatibly (the bitcode format itself is versioned by its magic).
-const keyDomain = "llhd-designcache-v1\x00"
+const keyDomain = "llhd-designcache-v2\x00"
 
 // srcDomain separates the source-memo hash from the design-key hash.
-const srcDomain = "llhd-designcache-src-v1\x00"
+const srcDomain = "llhd-designcache-src-v2\x00"
 
 // maxSrcMemo bounds the in-memory source memo; beyond it the memo is
 // reset wholesale (each entry is a few dozen bytes, so the bound is
@@ -66,25 +64,24 @@ const srcDomain = "llhd-designcache-src-v1\x00"
 const maxSrcMemo = 1 << 16
 
 // Key is the content address of one compiled design: the digest of the
-// module's bitcode-v2 encoding (domain-separated with the top name and
-// tier) plus the resolved top and tier for introspection. Keys are
-// comparable and stable across processes and machines.
+// module's bitcode-v2 encoding (domain-separated with the top name) plus
+// the resolved top for introspection. Keys are comparable and stable
+// across processes and machines.
 type Key struct {
 	Digest [sha256.Size]byte
 	Top    string
-	Tier   blaze.Tier
 }
 
 // String returns the hex content address, the spelling used for on-disk
 // artifact names and diagnostics.
 func (k Key) String() string { return hex.EncodeToString(k.Digest[:]) }
 
-// KeyOf computes the content address of (module, top, tier) and returns
+// KeyOf computes the content address of (module, top) and returns
 // it together with the bitcode encoding it hashed, so callers that go
 // on to persist the artifact do not encode twice. An empty top resolves
 // to the module's last entity (the Session default); a module with no
 // entity is an error.
-func KeyOf(m *ir.Module, top string, tier blaze.Tier) (Key, []byte, error) {
+func KeyOf(m *ir.Module, top string) (Key, []byte, error) {
 	if top == "" {
 		top = defaultTop(m)
 		if top == "" {
@@ -98,9 +95,9 @@ func KeyOf(m *ir.Module, top string, tier blaze.Tier) (Key, []byte, error) {
 	h := sha256.New()
 	h.Write([]byte(keyDomain))
 	h.Write([]byte(top))
-	h.Write([]byte{0, byte(tier), 0})
+	h.Write([]byte{0})
 	h.Write(data)
-	k := Key{Top: top, Tier: tier}
+	k := Key{Top: top}
 	h.Sum(k.Digest[:0])
 	return k, data, nil
 }
@@ -222,14 +219,14 @@ func (c *Cache) Len() int {
 	return c.lru.Len()
 }
 
-// Load returns the compiled design for (m, top, tier), compiling it at
+// Load returns the compiled design for (m, top), compiling it at
 // most once per content. The hit result reports a warm hit: the
 // returned design was already resident (or another caller's in-flight
 // compile produced it) and m itself was neither frozen nor compiled —
 // on a miss m is frozen by the compile and retained by the design.
 // An empty top resolves to the module's last entity.
-func (c *Cache) Load(m *ir.Module, top string, tier blaze.Tier) (*blaze.CompiledDesign, bool, error) {
-	key, data, err := KeyOf(m, top, tier)
+func (c *Cache) Load(m *ir.Module, top string) (*blaze.CompiledDesign, bool, error) {
+	key, data, err := KeyOf(m, top)
 	if err != nil {
 		return nil, false, err
 	}
@@ -244,8 +241,8 @@ func (c *Cache) Load(m *ir.Module, top string, tier blaze.Tier) (*blaze.Compiled
 // decoding the persisted bitcode artifact instead of re-parsing. The
 // requested top may be empty (resolved after parse, or carried by the
 // memoized key).
-func (c *Cache) LoadSource(meta string, src []byte, top string, tier blaze.Tier, parse func() (*ir.Module, error)) (*blaze.CompiledDesign, bool, error) {
-	sk := srcKey(meta, src, top, tier)
+func (c *Cache) LoadSource(meta string, src []byte, top string, parse func() (*ir.Module, error)) (*blaze.CompiledDesign, bool, error) {
+	sk := srcKey(meta, src, top)
 
 	c.mu.Lock()
 	key, known := c.srcMemo[sk]
@@ -276,11 +273,11 @@ func (c *Cache) LoadSource(meta string, src []byte, top string, tier blaze.Tier,
 	if err != nil {
 		return nil, false, err
 	}
-	cd, hit, err := c.Load(m, top, tier)
+	cd, hit, err := c.Load(m, top)
 	if err != nil {
 		return nil, false, err
 	}
-	dk, _, kerr := KeyOf(m, top, tier)
+	dk, _, kerr := KeyOf(m, top)
 	if kerr == nil {
 		c.memoize(sk, dk)
 		if c.dir != "" {
@@ -338,7 +335,7 @@ func (c *Cache) lead(key Key, data []byte, module func() (*ir.Module, error), fl
 			// Artifact reload path: re-encode from the compiled (frozen)
 			// module so the on-disk layer self-heals after a corrupt or
 			// deleted artifact.
-			if _, d, kerr := KeyOf(cd.Module(), key.Top, key.Tier); kerr == nil {
+			if _, d, kerr := KeyOf(cd.Module(), key.Top); kerr == nil {
 				data = d
 			}
 		}
@@ -365,7 +362,7 @@ func (c *Cache) compile(key Key, module func() (*ir.Module, error)) (*blaze.Comp
 	if hook != nil {
 		hook(key)
 	}
-	return blaze.CompileTier(m, key.Top, key.Tier)
+	return blaze.Compile(m, key.Top)
 }
 
 // insertLocked adds a resident design and enforces the LRU capacity.
@@ -400,14 +397,14 @@ func (c *Cache) memoize(sk [sha256.Size]byte, key Key) {
 }
 
 // srcKey hashes a source submission: the frontend configuration, the
-// source bytes, and the requested top and tier.
-func srcKey(meta string, src []byte, top string, tier blaze.Tier) [sha256.Size]byte {
+// source bytes, and the requested top.
+func srcKey(meta string, src []byte, top string) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write([]byte(srcDomain))
 	h.Write([]byte(meta))
 	h.Write([]byte{0})
 	h.Write([]byte(top))
-	h.Write([]byte{0, byte(tier), 0})
+	h.Write([]byte{0})
 	h.Write(src)
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
@@ -416,7 +413,7 @@ func srcKey(meta string, src []byte, top string, tier blaze.Tier) [sha256.Size]b
 
 // Artifact and memo file layout: d-<hex>.bc holds the bitcode of the
 // design with content address <hex>; s-<hex> holds the design key a
-// source hash resolved to (digest hex, top, tier on three lines).
+// source hash resolved to (digest hex and top on two lines).
 
 func (c *Cache) artifactPath(key Key) string {
 	return filepath.Join(c.dir, "d-"+key.String()+".bc")
@@ -438,7 +435,7 @@ func (c *Cache) readArtifact(key Key) (*ir.Module, bool) {
 	if err != nil {
 		return nil, false
 	}
-	got, _, err := KeyOf(m, key.Top, key.Tier)
+	got, _, err := KeyOf(m, key.Top)
 	if err != nil || got != key {
 		return nil, false // corrupt or tampered artifact: self-heal by re-parsing
 	}
@@ -462,18 +459,14 @@ func (c *Cache) readSrcMemo(sk [sha256.Size]byte) (Key, bool) {
 		return Key{}, false
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) != 3 {
+	if len(lines) != 2 {
 		return Key{}, false
 	}
 	digest, err := hex.DecodeString(lines[0])
 	if err != nil || len(digest) != sha256.Size {
 		return Key{}, false
 	}
-	tier, err := strconv.Atoi(lines[2])
-	if err != nil {
-		return Key{}, false
-	}
-	k := Key{Top: lines[1], Tier: blaze.Tier(tier)}
+	k := Key{Top: lines[1]}
 	copy(k.Digest[:], digest)
 	return k, true
 }
@@ -481,7 +474,7 @@ func (c *Cache) readSrcMemo(sk [sha256.Size]byte) (Key, bool) {
 // writeSrcMemo persists a source-to-key mapping; best-effort like
 // writeArtifact.
 func (c *Cache) writeSrcMemo(sk [sha256.Size]byte, key Key) {
-	content := fmt.Sprintf("%s\n%s\n%d\n", key.String(), key.Top, int(key.Tier))
+	content := fmt.Sprintf("%s\n%s\n", key.String(), key.Top)
 	writeAtomic(c.srcMemoPath(sk), []byte(content))
 }
 

@@ -99,11 +99,11 @@ func runCompiled(t *testing.T, cd *blaze.CompiledDesign) []string {
 func TestKeyOfStability(t *testing.T) {
 	m1 := parse(t, counterSrc(1))
 	m2 := parse(t, counterSrc(1))
-	k1, data1, err := designcache.KeyOf(m1, "top", blaze.TierBytecode)
+	k1, data1, err := designcache.KeyOf(m1, "top")
 	if err != nil {
 		t.Fatalf("KeyOf: %v", err)
 	}
-	k2, data2, err := designcache.KeyOf(m2, "top", blaze.TierBytecode)
+	k2, data2, err := designcache.KeyOf(m2, "top")
 	if err != nil {
 		t.Fatalf("KeyOf: %v", err)
 	}
@@ -113,27 +113,20 @@ func TestKeyOfStability(t *testing.T) {
 	if string(data1) != string(data2) {
 		t.Fatal("same content encoded to different bitcode")
 	}
-	if k1.Top != "top" || k1.Tier != blaze.TierBytecode {
+	if k1.Top != "top" {
 		t.Fatalf("key metadata wrong: %+v", k1)
 	}
 
-	k3, _, err := designcache.KeyOf(parse(t, counterSrc(2)), "top", blaze.TierBytecode)
+	k3, _, err := designcache.KeyOf(parse(t, counterSrc(2)), "top")
 	if err != nil {
 		t.Fatalf("KeyOf: %v", err)
 	}
 	if k3 == k1 {
 		t.Fatal("different content hashed to the same key")
 	}
-	k4, _, err := designcache.KeyOf(m1, "top", blaze.TierClosure)
-	if err != nil {
-		t.Fatalf("KeyOf: %v", err)
-	}
-	if k4 == k1 {
-		t.Fatal("different tiers hashed to the same key")
-	}
 
 	// Empty top resolves to the last entity.
-	k5, _, err := designcache.KeyOf(m1, "", blaze.TierBytecode)
+	k5, _, err := designcache.KeyOf(m1, "")
 	if err != nil {
 		t.Fatalf("KeyOf empty top: %v", err)
 	}
@@ -145,7 +138,7 @@ func TestKeyOfStability(t *testing.T) {
 func TestLoadContentAddressed(t *testing.T) {
 	c := newCache(t, designcache.Config{})
 	m1 := parse(t, counterSrc(1))
-	cd1, hit, err := c.Load(m1, "top", blaze.TierBytecode)
+	cd1, hit, err := c.Load(m1, "top")
 	if err != nil {
 		t.Fatalf("cold Load: %v", err)
 	}
@@ -159,7 +152,7 @@ func TestLoadContentAddressed(t *testing.T) {
 	// A different *ir.Module with identical content is a warm hit: the
 	// submitted module is neither frozen nor compiled.
 	m2 := parse(t, counterSrc(1))
-	cd2, hit, err := c.Load(m2, "top", blaze.TierBytecode)
+	cd2, hit, err := c.Load(m2, "top")
 	if err != nil {
 		t.Fatalf("warm Load: %v", err)
 	}
@@ -187,7 +180,7 @@ func TestLoadContentAddressed(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := newCache(t, designcache.Config{Capacity: 2})
 	for i := 1; i <= 3; i++ {
-		if _, _, err := c.Load(parse(t, counterSrc(i)), "top", blaze.TierBytecode); err != nil {
+		if _, _, err := c.Load(parse(t, counterSrc(i)), "top"); err != nil {
 			t.Fatalf("Load %d: %v", i, err)
 		}
 	}
@@ -200,10 +193,10 @@ func TestLRUEviction(t *testing.T) {
 	}
 
 	// Design 1 was evicted (LRU), so it compiles again; design 3 is warm.
-	if _, hit, err := c.Load(parse(t, counterSrc(3)), "top", blaze.TierBytecode); err != nil || !hit {
+	if _, hit, err := c.Load(parse(t, counterSrc(3)), "top"); err != nil || !hit {
 		t.Fatalf("design 3 should be warm: hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.Load(parse(t, counterSrc(1)), "top", blaze.TierBytecode); err != nil || hit {
+	if _, hit, err := c.Load(parse(t, counterSrc(1)), "top"); err != nil || hit {
 		t.Fatalf("design 1 should have been evicted: hit=%v err=%v", hit, err)
 	}
 	if st := c.Stats(); st.Compiles != 4 {
@@ -232,7 +225,7 @@ func TestSingleFlightDedup(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			designs[i], _, errs[i] = c.Load(m, "top", blaze.TierBytecode)
+			designs[i], _, errs[i] = c.Load(m, "top")
 		}(i)
 	}
 	wg.Wait()
@@ -262,13 +255,13 @@ func TestLoadSourceMemo(t *testing.T) {
 		return assembly.Parse("design", counterSrc(1))
 	}
 
-	if _, hit, err := c.LoadSource("llhd", src, "top", blaze.TierBytecode, parseFn); err != nil || hit {
+	if _, hit, err := c.LoadSource("llhd", src, "top", parseFn); err != nil || hit {
 		t.Fatalf("cold LoadSource: hit=%v err=%v", hit, err)
 	}
 	if parses != 1 {
 		t.Fatalf("cold LoadSource parsed %d times, want 1", parses)
 	}
-	cd, hit, err := c.LoadSource("llhd", src, "top", blaze.TierBytecode, parseFn)
+	cd, hit, err := c.LoadSource("llhd", src, "top", parseFn)
 	if err != nil || !hit {
 		t.Fatalf("warm LoadSource: hit=%v err=%v", hit, err)
 	}
@@ -288,7 +281,7 @@ func TestDiskLayerPersistsAcrossCaches(t *testing.T) {
 	src := []byte(counterSrc(1))
 
 	c1 := newCache(t, designcache.Config{Dir: dir})
-	cd1, _, err := c1.LoadSource("llhd", src, "top", blaze.TierBytecode, func() (*ir.Module, error) {
+	cd1, _, err := c1.LoadSource("llhd", src, "top", func() (*ir.Module, error) {
 		return assembly.Parse("design", counterSrc(1))
 	})
 	if err != nil {
@@ -316,7 +309,7 @@ func TestDiskLayerPersistsAcrossCaches(t *testing.T) {
 	// A fresh cache over the same directory — a new process, in effect —
 	// must resolve the source without ever invoking the frontend.
 	c2 := newCache(t, designcache.Config{Dir: dir})
-	cd2, hit, err := c2.LoadSource("llhd", src, "top", blaze.TierBytecode, func() (*ir.Module, error) {
+	cd2, hit, err := c2.LoadSource("llhd", src, "top", func() (*ir.Module, error) {
 		t.Fatal("parse invoked despite a persisted artifact")
 		return nil, nil
 	})
@@ -343,7 +336,7 @@ func TestDiskLayerSelfHealsCorruptArtifact(t *testing.T) {
 	parseFn := func() (*ir.Module, error) { return assembly.Parse("design", counterSrc(1)) }
 
 	c1 := newCache(t, designcache.Config{Dir: dir})
-	if _, _, err := c1.LoadSource("llhd", src, "top", blaze.TierBytecode, parseFn); err != nil {
+	if _, _, err := c1.LoadSource("llhd", src, "top", parseFn); err != nil {
 		t.Fatalf("cold LoadSource: %v", err)
 	}
 
@@ -359,7 +352,7 @@ func TestDiskLayerSelfHealsCorruptArtifact(t *testing.T) {
 
 	c2 := newCache(t, designcache.Config{Dir: dir})
 	parsed := false
-	cd, _, err := c2.LoadSource("llhd", src, "top", blaze.TierBytecode, func() (*ir.Module, error) {
+	cd, _, err := c2.LoadSource("llhd", src, "top", func() (*ir.Module, error) {
 		parsed = true
 		return parseFn()
 	})
@@ -377,10 +370,65 @@ func TestDiskLayerSelfHealsCorruptArtifact(t *testing.T) {
 	}
 }
 
+// TestDiskLayerIgnoresV1SourceMemo pins the memo format change: a
+// three-line source memo (digest, top, tier) written by the v1 layout
+// must read as a miss, never as a key, and the next load must rewrite
+// it in the two-line form.
+func TestDiskLayerIgnoresV1SourceMemo(t *testing.T) {
+	dir := t.TempDir()
+	src := []byte(counterSrc(1))
+	parseFn := func() (*ir.Module, error) { return assembly.Parse("design", counterSrc(1)) }
+
+	c1 := newCache(t, designcache.Config{Dir: dir})
+	if _, _, err := c1.LoadSource("llhd", src, "top", parseFn); err != nil {
+		t.Fatalf("cold LoadSource: %v", err)
+	}
+	memos, _ := filepath.Glob(filepath.Join(dir, "s-*"))
+	if len(memos) != 1 {
+		t.Fatalf("want one source memo on disk, got %v", memos)
+	}
+	v2, err := os.ReadFile(memos[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(v2), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("memo has %d lines, want 2: %q", len(lines), v2)
+	}
+	// Rewrite it in the v1 layout. The digest and top still name a valid
+	// artifact, so a reader that accepted it would skip the frontend.
+	v1 := lines[0] + "\n" + lines[1] + "\n0\n"
+	if err := os.WriteFile(memos[0], []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := newCache(t, designcache.Config{Dir: dir})
+	parsed := false
+	if _, _, err := c2.LoadSource("llhd", src, "top", func() (*ir.Module, error) {
+		parsed = true
+		return parseFn()
+	}); err != nil {
+		t.Fatalf("LoadSource over a v1 memo: %v", err)
+	}
+	if !parsed {
+		t.Fatal("a v1 memo was parsed as a key: the frontend was skipped")
+	}
+	if st := c2.Stats(); st.SourceHits != 0 {
+		t.Fatalf("a v1 memo counted as a source hit: %+v", st)
+	}
+	healed, err := os.ReadFile(memos[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(healed) != string(v2) {
+		t.Fatalf("memo not rewritten in the v2 form: %q, want %q", healed, v2)
+	}
+}
+
 func TestCompileErrorNotCached(t *testing.T) {
 	c := newCache(t, designcache.Config{})
 	m := parse(t, counterSrc(1))
-	if _, _, err := c.Load(m, "nosuch", blaze.TierBytecode); err == nil {
+	if _, _, err := c.Load(m, "nosuch"); err == nil {
 		t.Fatal("Load with an unknown top must fail")
 	}
 	if c.Len() != 0 {
@@ -388,7 +436,7 @@ func TestCompileErrorNotCached(t *testing.T) {
 	}
 	// The same content still loads fine under its real top, and the
 	// failed attempt must not have frozen or poisoned the module.
-	if _, _, err := c.Load(m, "top", blaze.TierBytecode); err != nil {
+	if _, _, err := c.Load(m, "top"); err != nil {
 		t.Fatalf("Load after failed attempt: %v", err)
 	}
 }
@@ -400,7 +448,7 @@ func TestCompileErrorNotCached(t *testing.T) {
 func TestNoHotPathCost(t *testing.T) {
 	c := newCache(t, designcache.Config{})
 	m := parse(t, counterSrc(1))
-	cd, _, err := c.Load(m, "top", blaze.TierBytecode)
+	cd, _, err := c.Load(m, "top")
 	if err != nil {
 		t.Fatal(err)
 	}
