@@ -20,3 +20,14 @@ func WithFaultHook(h func(faultinject.Point) error) SessionOption {
 func WithGovernBatch(n int) SessionOption {
 	return func(c *sessionConfig) { c.governBatch = n }
 }
+
+// PreparedDesigns runs a farm's serial preparation over the jobs and
+// returns each job's compiled blaze design, so tests can check which jobs
+// share one. Every job must prepare cleanly. Test-only.
+func PreparedDesigns(jobs ...FarmJob) (cds []*CompiledDesign) {
+	cfgs, _ := (&Farm{}).prepare(jobs)
+	for _, cfg := range cfgs {
+		cds = append(cds, cfg.compiled)
+	}
+	return cds
+}

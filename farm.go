@@ -15,7 +15,9 @@ import (
 // design should share it explicitly — the same *Module via FromModule, the
 // same *CompiledDesign via FromCompiled, or the same source string via
 // FromSystemVerilog; the farm then runs them concurrently over one frozen
-// copy instead of N private ones.
+// copy instead of N private ones. As with NewSession, a module given via
+// FromModule is frozen (Module.Freeze), and a SystemVerilog source runs
+// through the Moore frontend once per distinct (source, top, engine).
 type FarmJob struct {
 	// Name labels the job in its FarmResult; purely informational.
 	Name string
@@ -50,13 +52,15 @@ type FarmResult struct {
 // in-memory design, for throughput (parameter sweeps, regression farms)
 // or for cross-engine differential testing.
 //
-// Before any worker starts, Run prepares the shared artifacts serially:
-// every module referenced by a job is frozen (Module.Freeze — structural
-// mutation afterwards panics), and blaze jobs over a module are compiled
-// once per distinct (module, top) pair into a shared CompiledDesign. After
-// that preparation all cross-session state is immutable, so the fan-out
-// takes no locks anywhere on a simulation path: each session owns its
-// engine, frames, register files, and observers outright.
+// Before any worker starts, Run prepares the shared artifacts serially,
+// with the preparation step NewSession uses: every module referenced by
+// a job is frozen (Module.Freeze — structural mutation afterwards
+// panics), SystemVerilog sources are compiled to LLHD once per distinct
+// (source, top, engine), and blaze jobs are compiled once per distinct
+// (module, top) pair into a shared CompiledDesign. After that
+// preparation all cross-session state is immutable, so the fan-out takes
+// no locks anywhere on a simulation path: each session owns its engine,
+// frames, register files, and observers outright.
 //
 // The zero Farm is ready to use.
 type Farm struct {
@@ -82,69 +86,7 @@ func (f *Farm) Run(ctx context.Context, jobs ...FarmJob) []FarmResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results := make([]FarmResult, len(jobs))
-	cfgs := make([]*sessionConfig, len(jobs))
-
-	// Serial preparation: freeze shared modules, compile blaze designs
-	// once per (module, top). This is the only phase that writes to
-	// cross-session state.
-	type designKey struct {
-		m   *Module
-		top string
-	}
-	compiledCache := map[designKey]*CompiledDesign{}
-	for i := range jobs {
-		results[i] = FarmResult{Name: jobs[i].Name, Index: i}
-		cfg := &sessionConfig{}
-		for _, opt := range jobs[i].Options {
-			opt(cfg)
-		}
-		if cfg.cache == nil && f.Cache != nil && cfg.backend == Blaze && cfg.compiled == nil {
-			cfg.cache = f.Cache
-		}
-		if cfg.cache != nil && cfg.module != nil && cfg.compiled == nil &&
-			(!cfg.backendSet || cfg.backend == Blaze) {
-			// Content-addressed path: the cache resolves freezing and
-			// compilation itself (a warm hit does neither) and
-			// single-flights compiles across concurrent Run calls.
-			cd, _, err := cfg.cache.Load(cfg.module, cfg.top)
-			if err != nil {
-				results[i].Err = fmt.Errorf("llhd: farm job %d: %w", i, err)
-				continue
-			}
-			cfg.compiled, cfg.module, cfg.cache = cd, nil, nil
-			cfg.backend, cfg.backendSet = Blaze, true
-			cfgs[i] = cfg
-			continue
-		}
-		if cfg.module != nil {
-			cfg.module.Freeze()
-		}
-		if cfg.backend == Blaze && cfg.module != nil && cfg.compiled == nil {
-			top := cfg.top
-			if top == "" {
-				top = defaultTop(cfg.module)
-			}
-			if top == "" {
-				results[i].Err = fmt.Errorf("llhd: farm job %d: module has no entity; pass Top(name)", i)
-				continue
-			}
-			key := designKey{cfg.module, top}
-			cd, ok := compiledCache[key]
-			if !ok {
-				var err error
-				cd, err = CompileBlaze(cfg.module, top)
-				if err != nil {
-					results[i].Err = fmt.Errorf("llhd: farm job %d: %w", i, err)
-					continue
-				}
-				compiledCache[key] = cd
-			}
-			cfg.compiled, cfg.module = cd, nil
-		}
-		cfgs[i] = cfg
-	}
-
+	cfgs, results := f.prepare(jobs)
 	workers := f.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -165,7 +107,7 @@ func (f *Farm) Run(ctx context.Context, jobs ...FarmJob) []FarmResult {
 		}()
 	}
 	for i := range jobs {
-		if cfgs[i] == nil || results[i].Err != nil {
+		if cfgs[i] == nil {
 			continue // failed during preparation
 		}
 		idx <- i
@@ -175,25 +117,50 @@ func (f *Farm) Run(ctx context.Context, jobs ...FarmJob) []FarmResult {
 	return results
 }
 
+// prepare is Run's serial phase: it applies every job's options and runs
+// the shared preparation step over one dedup map, so jobs naming one
+// design share its frozen module or compiled design. A job that fails
+// here, even by a panic in the frontend or the compiler, gets its error
+// in its result and no config.
+func (f *Farm) prepare(jobs []FarmJob) ([]*sessionConfig, []FarmResult) {
+	results := make([]FarmResult, len(jobs))
+	cfgs := make([]*sessionConfig, len(jobs))
+	shared := map[designKey]*sessionConfig{}
+	for i := range jobs {
+		results[i] = FarmResult{Name: jobs[i].Name, Index: i}
+		cfg := &sessionConfig{}
+		err := func() (err error) {
+			defer recoverInternal(&err)
+			for _, opt := range jobs[i].Options {
+				opt(cfg)
+			}
+			if cfg.cache == nil && cfg.backend == Blaze && cfg.compiled == nil {
+				cfg.cache = f.Cache
+			}
+			return cfg.prepare(shared)
+		}()
+		if err != nil {
+			results[i].Err = fmt.Errorf("llhd: farm job %d: %w", i, err)
+			continue
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs, results
+}
+
 // runFarmJob builds and runs one session under the farm's context. The
 // session boundary is the containment layer: panics inside Run/Finish (a
 // bug in an engine, or one provoked by a malformed design) come back as
 // classified *RuntimeError values with the captured stack, so
 // differential harnesses can treat "this design panics an engine" as a
 // debuggable finding to report and shrink. The deferred recover here is
-// the farm's last-resort backstop for the phases outside any session
-// (config application, construction); it captures the stack the same
-// way. Cancellation of the farm context is polled by the engine at batch
-// granularity (engine.DefaultGovernBatch instants), so long-running jobs
-// stop promptly with an ErrCanceled-classified result.
+// the farm's last-resort backstop for session construction, which runs
+// outside any session; it captures the stack the same way. Cancellation
+// of the farm context is polled by the engine at batch granularity
+// (engine.DefaultGovernBatch instants), so long-running jobs stop
+// promptly with an ErrCanceled-classified result.
 func runFarmJob(ctx context.Context, cfg *sessionConfig, until Time) (stats Finish, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &engine.RuntimeError{
-				Kind: engine.ErrInternal, Recovered: r, Stack: debug.Stack(),
-			}
-		}
-	}()
+	defer recoverInternal(&err)
 	if cerr := ctx.Err(); cerr != nil {
 		return Finish{}, &engine.RuntimeError{Kind: engine.Classify(cerr), Cause: cerr}
 	}
@@ -210,4 +177,12 @@ func runFarmJob(ctx context.Context, cfg *sessionConfig, until Time) (stats Fini
 		return stats, runErr
 	}
 	return stats, s.Err()
+}
+
+// recoverInternal is the farm's deferred panic backstop: it turns a panic
+// into an ErrInternal *RuntimeError carrying the recovered value and stack.
+func recoverInternal(err *error) {
+	if r := recover(); r != nil {
+		*err = &engine.RuntimeError{Kind: engine.ErrInternal, Recovered: r, Stack: debug.Stack()}
+	}
 }

@@ -238,21 +238,10 @@ func TestFarmReportsPreparationErrors(t *testing.T) {
 	}
 }
 
-// TestUnfrozenModuleSingleSessionCompat is the compatibility regression
-// for the freeze contract: a module that was never frozen still elaborates
-// and simulates on every LLHD engine (the lazy, single-session path), and
-// freezing it afterwards changes nothing observable.
-func TestUnfrozenModuleSingleSessionCompat(t *testing.T) {
-	run := func(m *llhd.Module, kind llhd.EngineKind) llhd.Finish {
-		s, err := llhd.NewSession(llhd.FromModule(m), llhd.Top("toggle_tb"), llhd.Backend(kind))
-		if err != nil {
-			t.Fatalf("NewSession(%v): %v", kind, err)
-		}
-		if err := s.Run(); err != nil {
-			t.Fatalf("Run(%v): %v", kind, err)
-		}
-		return s.Finish()
-	}
+// TestSessionFreezesModule pins the FromModule contract: a successful
+// single session freezes the caller's module on every LLHD engine, exactly
+// as a farm job over it would.
+func TestSessionFreezesModule(t *testing.T) {
 	for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze} {
 		m, err := llhd.CompileSystemVerilog("toggle", toggleSrc)
 		if err != nil {
@@ -261,11 +250,22 @@ func TestUnfrozenModuleSingleSessionCompat(t *testing.T) {
 		if m.Frozen() {
 			t.Fatal("CompileSystemVerilog must not freeze")
 		}
-		lazy := run(m, kind)
-		m.Freeze()
-		frozen := run(m, kind)
-		if lazy != frozen {
-			t.Errorf("%v: unfrozen and frozen runs disagree: %+v vs %+v", kind, lazy, frozen)
+		if _, err := llhd.NewSession(llhd.FromModule(m), llhd.Top("toggle_tb"), llhd.Backend(kind)); err != nil {
+			t.Fatalf("NewSession(%v): %v", kind, err)
 		}
+		if !m.Frozen() {
+			t.Errorf("%v: NewSession(FromModule(m)) left the module unfrozen", kind)
+		}
+	}
+}
+
+// TestFarmSharesSystemVerilogSource pins the FarmJob sharing promise for
+// source input: blaze jobs over one SystemVerilog source and top run over
+// one compiled design, built by one frontend run and one compile.
+func TestFarmSharesSystemVerilogSource(t *testing.T) {
+	job := llhd.FarmJob{Options: []llhd.SessionOption{
+		llhd.FromSystemVerilog(toggleSrc), llhd.Top("toggle_tb"), llhd.Backend(llhd.Blaze)}}
+	if cds := llhd.PreparedDesigns(job, job); cds[0] == nil || cds[0] != cds[1] {
+		t.Errorf("blaze jobs over one source got designs %p and %p, want one shared design", cds[0], cds[1])
 	}
 }

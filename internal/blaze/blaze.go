@@ -36,18 +36,29 @@ import (
 // from here that is mutable at run time is session-private.
 type Simulator struct {
 	Engine *engine.Engine
-	Module *ir.Module
-	Top    string
 
 	design *CompiledDesign
 }
 
-// New compiles and elaborates the design hierarchy under the top unit for
-// single-session use. The module is not frozen and stays mutable once the
-// simulator exists; use Compile + CompiledDesign.NewSimulator to share one
-// compiled design across concurrent sessions.
+// New compiles the design hierarchy under the top unit and returns the
+// first session over it; it is the only compile path. Units are lowered
+// during that session's elaboration, then the module is frozen
+// (ir.Module.Freeze) and the design sealed for Design() to share. On error
+// the module is left unfrozen: freezing is irreversible.
 func New(m *ir.Module, top string) (*Simulator, error) {
-	return newDesign(m, top).newSimulator()
+	cd := &CompiledDesign{
+		module: m,
+		top:    top,
+		prog:   bytecode.NewProgram(m),
+		units:  map[*ir.Unit]*bytecode.Unit{},
+	}
+	s, err := cd.NewSimulator()
+	if err != nil {
+		return nil, err
+	}
+	m.Freeze()
+	cd.sealed = true
+	return s, nil
 }
 
 // Design returns the compiled design the simulator executes.

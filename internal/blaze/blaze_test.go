@@ -1,6 +1,7 @@
 package blaze_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -220,7 +221,10 @@ func @fib (i32 %n) i32 {
 
 // TestBlazeFasterThanInterpreter is a coarse performance sanity check: the
 // compiled simulator must beat the interpreter on a busy design. It guards
-// the Table 2 "Int >> JIT" shape without being a benchmark.
+// the Table 2 "Int >> JIT" shape without being a benchmark. One batch of
+// 50 runs takes about a millisecond, so timer noise and scheduling could
+// decide a single comparison; the test times several interleaved rounds
+// of each side and compares the best round of each.
 func TestBlazeFasterThanInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
@@ -233,19 +237,21 @@ func TestBlazeFasterThanInterpreter(t *testing.T) {
 		run()
 		return time.Since(t0).Seconds()
 	}
-	var interpTime, blazeTime float64
-	interpTime = timeRun(func() {
-		for i := 0; i < 50; i++ {
-			s, _ := sim.New(m1, "top")
-			s.Run(ir.Time{})
-		}
-	})
-	blazeTime = timeRun(func() {
-		for i := 0; i < 50; i++ {
-			s, _ := blaze.New(m2, "top")
-			s.Run(ir.Time{})
-		}
-	})
+	interpTime, blazeTime := math.Inf(1), math.Inf(1)
+	for round := 0; round < 7; round++ {
+		interpTime = math.Min(interpTime, timeRun(func() {
+			for i := 0; i < 50; i++ {
+				s, _ := sim.New(m1, "top")
+				s.Run(ir.Time{})
+			}
+		}))
+		blazeTime = math.Min(blazeTime, timeRun(func() {
+			for i := 0; i < 50; i++ {
+				s, _ := blaze.New(m2, "top")
+				s.Run(ir.Time{})
+			}
+		}))
+	}
 	if blazeTime > interpTime {
 		t.Errorf("compiled simulation (%.4fs) slower than interpretation (%.4fs)", blazeTime, interpTime)
 	}

@@ -150,10 +150,10 @@ func TestBytecodeDisasmGolden(t *testing.T) {
 // TestBytecodeTierTraceMatchesClosure runs the counter design through the
 // sealed compile path (blaze.Compile, then NewSimulator) and requires a
 // trace byte-identical to the interpreter's, with no farm and no session
-// facade. TestTracesMatchCounter covers blaze.New's lazily lowered
-// single-session path; this one covers the shared, sealed design. The
-// name predates the removal of blaze's closure tier, which used to be the
-// reference here; the interpreter is the oracle now.
+// facade. TestTracesMatchCounter covers blaze.New's first session, whose
+// elaboration does the lowering; this one covers a later session over the
+// sealed design. The name predates the removal of blaze's closure tier,
+// which used to be the reference here; the interpreter is the oracle now.
 func TestBytecodeTierTraceMatchesClosure(t *testing.T) {
 	interp, _ := simtest.InterpTrace(t, assembly.MustParse("counter", counterSrc), "top")
 

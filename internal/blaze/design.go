@@ -10,11 +10,11 @@ import (
 
 // CompiledDesign is the compile-once artifact of a design hierarchy: one
 // lowered bytecode unit per reachable process/entity unit plus the
-// functions they call. After Compile seals it, the design is immutable
-// and may be shared read-only by any number of concurrent Simulators —
-// every piece of mutable runtime state (register files, signal tables,
-// reg/del histories, call-frame pools) is created per session by
-// NewSimulator.
+// functions they call. Every design is sealed before New returns it, so
+// it is immutable and may be shared read-only by any number of
+// concurrent Simulators — every piece of mutable runtime state (register
+// files, signal tables, reg/del histories, call-frame pools) is created
+// per session by NewSimulator.
 type CompiledDesign struct {
 	module *ir.Module
 	top    string
@@ -23,35 +23,18 @@ type CompiledDesign struct {
 	sealed bool
 }
 
-// Compile compiles every unit reachable from the top entity exactly
-// once, freezes the module (ir.Module.Freeze), and returns the sealed,
-// immutable design. The compile performs one throwaway elaboration to
-// drive unit discovery and to validate that every signal reference
-// resolves; the scratch engine is discarded. On error the module is left
-// unfrozen — freezing is irreversible, so it must not outlive a failed
-// compile.
+// Compile compiles every unit reachable from the top entity exactly once,
+// freezes the module, and returns the sealed design: New followed by
+// Design, for callers that want the design without a first session.
 func Compile(m *ir.Module, top string) (*CompiledDesign, error) {
-	cd := newDesign(m, top)
-	if _, err := cd.newSimulator(); err != nil {
+	s, err := New(m, top)
+	if err != nil {
 		return nil, err
 	}
-	m.Freeze()
-	cd.sealed = true
-	cd.prog.Seal()
-	return cd, nil
+	return s.Design(), nil
 }
 
-func newDesign(m *ir.Module, top string) *CompiledDesign {
-	return &CompiledDesign{
-		module: m,
-		top:    top,
-		prog:   bytecode.NewProgram(m),
-		units:  map[*ir.Unit]*bytecode.Unit{},
-	}
-}
-
-// Module returns the (frozen, for sealed designs) module the design was
-// compiled from.
+// Module returns the frozen module the design was compiled from.
 func (cd *CompiledDesign) Module() *ir.Module { return cd.module }
 
 // Top returns the name of the top unit the design elaborates.
@@ -59,20 +42,9 @@ func (cd *CompiledDesign) Top() string { return cd.top }
 
 // NewSimulator elaborates a fresh, independent session over the shared
 // compiled code: its own event engine, signals, register files, and
-// call-frame pools. Sessions built from one sealed design may run
-// concurrently; the shared code is never written after Compile.
+// call-frame pools. Sessions built from one design may run concurrently;
+// the shared code is never written after New seals it.
 func (cd *CompiledDesign) NewSimulator() (*Simulator, error) {
-	if !cd.sealed {
-		return nil, fmt.Errorf("blaze: NewSimulator on an unsealed design (use Compile)")
-	}
-	return cd.newSimulator()
-}
-
-// newSimulator elaborates the design on a fresh engine. On an unsealed
-// design (during Compile, or blaze.New's single-session path) units are
-// lowered on first encounter; on a sealed design every unit must already
-// be present.
-func (cd *CompiledDesign) newSimulator() (*Simulator, error) {
 	e := engine.New()
 	rt := bytecode.NewRuntime(cd.prog)
 	factory := func(inst *engine.Instance) (engine.Process, error) {
@@ -85,11 +57,11 @@ func (cd *CompiledDesign) newSimulator() (*Simulator, error) {
 	if err := engine.Elaborate(e, cd.module, cd.top, factory); err != nil {
 		return nil, err
 	}
-	return &Simulator{Engine: e, Module: cd.module, Top: cd.top, design: cd}, nil
+	return &Simulator{Engine: e, design: cd}, nil
 }
 
 // unitFor returns the lowered form of the instance's unit, lowering it
-// on first encounter while the design is still unsealed.
+// on first encounter during New's elaboration.
 func (cd *CompiledDesign) unitFor(inst *engine.Instance) (*bytecode.Unit, error) {
 	if u, ok := cd.units[inst.Unit]; ok {
 		return u, nil

@@ -83,7 +83,7 @@ func (k Key) String() string { return hex.EncodeToString(k.Digest[:]) }
 // entity is an error.
 func KeyOf(m *ir.Module, top string) (Key, []byte, error) {
 	if top == "" {
-		top = defaultTop(m)
+		top = m.DefaultTop()
 		if top == "" {
 			return Key{}, nil, fmt.Errorf("designcache: module has no entity; pass a top name")
 		}
@@ -100,17 +100,6 @@ func KeyOf(m *ir.Module, top string) (Key, []byte, error) {
 	k := Key{Top: top}
 	h.Sum(k.Digest[:0])
 	return k, data, nil
-}
-
-// defaultTop mirrors the Session default: the module's last entity.
-func defaultTop(m *ir.Module) string {
-	top := ""
-	for _, u := range m.Units {
-		if u.Kind == ir.UnitEntity {
-			top = u.Name
-		}
-	}
-	return top
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.

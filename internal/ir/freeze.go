@@ -14,8 +14,10 @@ package ir
 //	farm-ready := moore-compiled module → Lower → Freeze
 //
 // Passes (llhd.Lower and friends) must run before Freeze; there is no
-// thaw. Code that only ever uses a module from a single goroutine does not
-// need to freeze it — the lazy single-session path keeps working.
+// thaw. Every simulation runs a frozen module: the interpreter (sim.New)
+// and the blaze compiler (blaze.New) freeze the module they elaborate.
+// Unfrozen modules keep the lazily computed numbering the passes mutate
+// under.
 func (m *Module) Freeze() *Module {
 	if m.frozen {
 		return m

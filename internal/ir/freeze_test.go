@@ -80,9 +80,9 @@ func TestFreezePanicsOnMutation(t *testing.T) {
 	})
 }
 
-// TestUnfrozenModuleKeepsLazyPath is the single-session compatibility
-// regression: without Freeze, numbering stays lazily computed, mutation is
-// legal, and the cache is invalidated and rebuilt correctly afterwards.
+// TestUnfrozenModuleKeepsLazyPath pins the numbering contract passes rely
+// on: without Freeze, numbering stays lazily computed, mutation is legal,
+// and the cache is invalidated and rebuilt correctly afterwards.
 func TestUnfrozenModuleKeepsLazyPath(t *testing.T) {
 	_, ent, _ := freezeFixture()
 	n := ent.Numbering()

@@ -248,6 +248,19 @@ func (m *Module) Unit(name string) *Unit {
 	return m.byName[name]
 }
 
+// DefaultTop returns the name of the module's last entity, the top unit a
+// simulation session, the design cache, and the fuzzer elaborate when no
+// top is named, or "" if the module has no entity.
+func (m *Module) DefaultTop() string {
+	top := ""
+	for _, u := range m.Units {
+		if u.Kind == UnitEntity {
+			top = u.Name
+		}
+	}
+	return top
+}
+
 // Remove deletes the unit from the module.
 func (m *Module) Remove(u *Unit) {
 	if m.frozen {

@@ -33,7 +33,9 @@ type Simulator struct {
 }
 
 // New elaborates the design hierarchy under the named top unit with the
-// interpreting process factory.
+// interpreting process factory, then freezes the module (ir.Module.Freeze):
+// every simulated design is a frozen one. On error the module is left
+// unfrozen.
 func New(m *ir.Module, top string) (*Simulator, error) {
 	e := engine.New()
 	s := &Simulator{Engine: e, Module: m, Top: top, fstates: map[*ir.Unit]*funcState{}}
@@ -49,6 +51,7 @@ func New(m *ir.Module, top string) (*Simulator, error) {
 	if err := engine.Elaborate(e, m, top, factory); err != nil {
 		return nil, err
 	}
+	m.Freeze()
 	return s, nil
 }
 

@@ -24,6 +24,9 @@
 //	v, ok := s.Probe("top_tb.q")
 //	stats := s.Finish()              // delta steps, events, assertions
 //
+// Every session runs a frozen design, prepared like a one-job Farm:
+// FromModule freezes its module, so run passes such as Lower first.
+//
 // The blaze engine lowers every unit to flat fixed-width bytecode run by
 // a threaded dispatch loop (registers indexed directly by dense value
 // IDs, scalar integer ops in place). Its traces are byte-identical to the
@@ -55,8 +58,8 @@
 //	// §6.1 trace-equivalence check (examples/quickstart runs this sweep).
 //
 // All sharing is frozen-read-only: after Farm.Run's serial preparation
-// (freeze + compile), concurrent sessions take no locks anywhere on a
-// simulation path.
+// (frontend + freeze + compile, once per distinct design), concurrent
+// sessions take no locks anywhere on a simulation path.
 //
 // The engines also check each other: internal/fuzz generates seeded
 // random well-typed designs over the full instruction surface and farms

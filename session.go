@@ -10,7 +10,6 @@ import (
 	"llhd/internal/blaze"
 	"llhd/internal/engine"
 	"llhd/internal/faultinject"
-	"llhd/internal/ir"
 	"llhd/internal/moore"
 	"llhd/internal/sim"
 	"llhd/internal/svsim"
@@ -89,19 +88,18 @@ func ParseEngineKind(s string) (EngineKind, error) {
 // sessions via FromCompiled.
 type CompiledDesign = blaze.CompiledDesign
 
-// CompileBlaze freezes the module (Module.Freeze — structural mutation
-// afterwards panics) and compiles it once for the blaze engine. The
+// CompileBlaze compiles the module once for the blaze engine, through a
+// session's preparation step, and freezes it (Module.Freeze — structural
+// mutation afterwards panics); a failed compile leaves it unfrozen. The
 // returned design is safe to share across concurrently running sessions;
 // per-session state (event queue, signals, register files) is created at
 // NewSession time. When top is empty the module's last entity is used.
 func CompileBlaze(m *Module, top string) (*CompiledDesign, error) {
-	if top == "" {
-		top = defaultTop(m)
-		if top == "" {
-			return nil, fmt.Errorf("llhd: module has no entity; pass a top name")
-		}
+	cfg := sessionConfig{module: m, top: top, backend: Blaze}
+	if err := cfg.prepare(nil); err != nil {
+		return nil, err
 	}
-	return blaze.Compile(m, top)
+	return cfg.compiled, nil
 }
 
 // SessionOption configures NewSession.
@@ -127,6 +125,10 @@ type sessionConfig struct {
 	onAssert   func(name string, t Time)
 	stepLimit  int
 
+	// first is the simulator whose elaboration compiled cfg.compiled; the
+	// session takes it over instead of elaborating a second time.
+	first *blaze.Simulator
+
 	// Resource governance (see the With* options). All polled at batch
 	// granularity by the engine; zero values mean unlimited.
 	ctx        context.Context
@@ -142,8 +144,10 @@ type sessionConfig struct {
 }
 
 // FromModule simulates an already-built LLHD module (parsed assembly,
-// decoded bitcode, or a previous CompileSystemVerilog result). Not valid
-// with Backend(SVSim), which needs the SystemVerilog source.
+// decoded bitcode, or a previous CompileSystemVerilog result). The session
+// freezes the module (Module.Freeze) exactly as Farm does, so run passes
+// such as Lower first; only a warm WithDesignCache hit leaves it as is.
+// Not valid with Backend(SVSim), which needs the SystemVerilog source.
 func FromModule(m *Module) SessionOption {
 	return func(c *sessionConfig) { c.module = m }
 }
@@ -289,8 +293,6 @@ type Finish struct {
 // A Session is not safe for concurrent use.
 type Session struct {
 	eng     *engine.Engine
-	kind    EngineKind
-	top     string
 	sv      *svsim.Simulator // SVSim backend, for coroutine shutdown
 	vcd     []flusher
 	inited  bool
@@ -303,126 +305,167 @@ type flusher interface{ Flush() error }
 
 // NewSession elaborates a design on the selected engine and returns the
 // session handle. Exactly one of FromModule, FromSystemVerilog, or
-// FromCompiled must be given.
+// FromCompiled must be given. The session is prepared like a one-job Farm.
 func NewSession(opts ...SessionOption) (*Session, error) {
 	var cfg sessionConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	if err := cfg.prepare(nil); err != nil {
+		return nil, err
+	}
 	return newSession(&cfg)
 }
 
-// newSession builds the session from an applied configuration. It is
-// shared by NewSession and the Farm, which prepares configs (freezing
-// modules, injecting precompiled designs) before fanning out.
-func newSession(cfg *sessionConfig) (*Session, error) {
+// validate rejects contradictory or incomplete option combinations and
+// settles the backend the input and options imply.
+func (cfg *sessionConfig) validate() error {
 	if cfg.compiled != nil {
 		if cfg.module != nil || cfg.hasSource {
-			return nil, fmt.Errorf("llhd: FromCompiled excludes FromModule and FromSystemVerilog")
+			return fmt.Errorf("llhd: FromCompiled excludes FromModule and FromSystemVerilog")
 		}
 		if cfg.backendSet && cfg.backend != Blaze {
-			return nil, fmt.Errorf("llhd: FromCompiled runs on the blaze engine, not %v", cfg.backend)
+			return fmt.Errorf("llhd: FromCompiled runs on the blaze engine, not %v", cfg.backend)
 		}
 		if cfg.top != "" && cfg.top != cfg.compiled.Top() {
-			return nil, fmt.Errorf("llhd: FromCompiled design was compiled for Top(%q), not %q",
+			return fmt.Errorf("llhd: FromCompiled design was compiled for Top(%q), not %q",
 				cfg.compiled.Top(), cfg.top)
 		}
 		cfg.backend = Blaze
 	} else if cfg.module == nil && !cfg.hasSource {
-		return nil, fmt.Errorf("llhd: NewSession needs FromModule, FromSystemVerilog, or FromCompiled")
+		return fmt.Errorf("llhd: NewSession needs FromModule, FromSystemVerilog, or FromCompiled")
 	}
 	if cfg.module != nil && cfg.hasSource {
-		return nil, fmt.Errorf("llhd: FromModule and FromSystemVerilog are mutually exclusive")
+		return fmt.Errorf("llhd: FromModule and FromSystemVerilog are mutually exclusive")
 	}
 	if cfg.cache != nil {
 		if cfg.compiled != nil {
-			return nil, fmt.Errorf("llhd: WithDesignCache and FromCompiled are mutually exclusive (a compiled design is already past the cache)")
+			return fmt.Errorf("llhd: WithDesignCache and FromCompiled are mutually exclusive (a compiled design is already past the cache)")
 		}
 		if cfg.backendSet && cfg.backend != Blaze {
-			return nil, fmt.Errorf("llhd: WithDesignCache applies to the blaze engine, not %v", cfg.backend)
+			return fmt.Errorf("llhd: WithDesignCache applies to the blaze engine, not %v", cfg.backend)
 		}
 		cfg.backend = Blaze
 	}
-
-	s := &Session{kind: cfg.backend}
 	switch cfg.backend {
+	case Interp, Blaze:
 	case SVSim:
 		if !cfg.hasSource {
-			return nil, fmt.Errorf("llhd: the svsim engine executes SystemVerilog directly; use FromSystemVerilog")
+			return fmt.Errorf("llhd: the svsim engine executes SystemVerilog directly; use FromSystemVerilog")
 		}
 		if cfg.top == "" {
-			return nil, fmt.Errorf("llhd: the svsim engine needs Top(module)")
+			return fmt.Errorf("llhd: the svsim engine needs Top(module)")
 		}
+	default:
+		return fmt.Errorf("llhd: unknown engine %d", int(cfg.backend))
+	}
+	return nil
+}
+
+// designKey identifies one design to prepare: a module or a SystemVerilog
+// source, elaborated under top on one engine.
+type designKey struct {
+	m       *Module
+	src     string
+	top     string
+	backend EngineKind
+}
+
+// prepare is the one preparation step of NewSession and Farm.Run: it
+// validates the configuration and resolves its input into a sealed
+// CompiledDesign (blaze), a frozen module (interp), or the source (svsim).
+// The farm passes its dedup map, so jobs with one designKey share one
+// frontend run, freeze, and compile; NewSession passes nil.
+func (cfg *sessionConfig) prepare(shared map[designKey]*sessionConfig) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	switch {
+	case cfg.compiled != nil:
+		cfg.top = cfg.compiled.Top()
+		return nil
+	case cfg.backend == SVSim:
+		return nil
+	case cfg.cache != nil:
+		// Content-addressed path: the cache resolves freezing and
+		// compilation itself (a warm hit does neither and skips the
+		// frontend) and single-flights compiles across concurrent users.
+		var err error
+		if cfg.module != nil {
+			cfg.compiled, _, err = cfg.cache.Load(cfg.module, cfg.top)
+		} else {
+			cfg.compiled, _, err = cfg.cache.LoadSystemVerilog("design", cfg.source, cfg.top, false)
+		}
+		if err != nil {
+			return err
+		}
+		cfg.top = cfg.compiled.Top()
+		return nil
+	}
+
+	m, top := cfg.module, cfg.top
+	if m != nil && top == "" {
+		top = m.DefaultTop()
+	}
+	key := designKey{m: m, src: cfg.source, top: top, backend: cfg.backend}
+	if d, ok := shared[key]; ok {
+		cfg.module, cfg.top, cfg.compiled = d.module, d.top, d.compiled
+		return nil
+	}
+	if m == nil {
+		var err error
+		if m, err = moore.Compile("design", cfg.source); err != nil {
+			return err
+		}
+		if top == "" {
+			top = m.DefaultTop()
+		}
+	}
+	if top == "" {
+		return fmt.Errorf("llhd: module has no entity; pass Top(name)")
+	}
+	cfg.module, cfg.top = m, top
+	if cfg.backend == Blaze {
+		bz, err := blaze.New(m, top)
+		if err != nil {
+			return err
+		}
+		cfg.first, cfg.compiled = bz, bz.Design()
+	} else {
+		m.Freeze()
+	}
+	if shared != nil {
+		shared[key] = cfg
+	}
+	return nil
+}
+
+// newSession builds a session from a prepared configuration. Farm workers
+// call it concurrently: it only reads the prepared, shared artifacts and
+// writes nothing but the new session's own state.
+func newSession(cfg *sessionConfig) (*Session, error) {
+	s := &Session{}
+	switch {
+	case cfg.first != nil:
+		s.eng = cfg.first.Engine
+	case cfg.compiled != nil:
+		bz, err := cfg.compiled.NewSimulator()
+		if err != nil {
+			return nil, err
+		}
+		s.eng = bz.Engine
+	case cfg.backend == SVSim:
 		sv, err := svsim.New(cfg.source, cfg.top)
 		if err != nil {
 			return nil, err
 		}
-		s.sv, s.eng, s.top = sv, sv.Engine, cfg.top
-
-	case Interp, Blaze:
-		if cfg.compiled != nil {
-			bz, err := cfg.compiled.NewSimulator()
-			if err != nil {
-				return nil, err
-			}
-			s.eng, s.top = bz.Engine, cfg.compiled.Top()
-			break
-		}
-		if cfg.cache != nil {
-			// Cache-aware construction: resolve the design through the
-			// content-addressed cache. A warm hit skips parse, lowering,
-			// freeze, and compile; a miss compiles once and leaves the
-			// warm design behind for every later session.
-			var cd *CompiledDesign
-			var err error
-			if cfg.module != nil {
-				cd, _, err = cfg.cache.Load(cfg.module, cfg.top)
-			} else {
-				cd, _, err = cfg.cache.LoadSystemVerilog("design", cfg.source, cfg.top, false)
-			}
-			if err != nil {
-				return nil, err
-			}
-			bz, err := cd.NewSimulator()
-			if err != nil {
-				return nil, err
-			}
-			s.eng, s.top = bz.Engine, cd.Top()
-			break
-		}
-		m := cfg.module
-		if m == nil {
-			var err error
-			m, err = moore.Compile("design", cfg.source)
-			if err != nil {
-				return nil, err
-			}
-		}
-		top := cfg.top
-		if top == "" {
-			top = defaultTop(m)
-			if top == "" {
-				return nil, fmt.Errorf("llhd: module has no entity; pass Top(name)")
-			}
-		}
-		s.top = top
-		switch cfg.backend {
-		case Interp:
-			si, err := sim.New(m, top)
-			if err != nil {
-				return nil, err
-			}
-			s.eng = si.Engine
-		case Blaze:
-			bz, err := blaze.New(m, top)
-			if err != nil {
-				return nil, err
-			}
-			s.eng = bz.Engine
-		}
-
+		s.sv, s.eng = sv, sv.Engine
 	default:
-		return nil, fmt.Errorf("llhd: unknown engine %d", int(cfg.backend))
+		si, err := sim.New(cfg.module, cfg.top)
+		if err != nil {
+			return nil, err
+		}
+		s.eng = si.Engine
 	}
 
 	if cfg.display != nil {
@@ -461,18 +504,6 @@ func newSession(cfg *sessionConfig) (*Session, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// defaultTop returns the module's last entity, the default top unit when
-// Top is omitted, or "" if the module has none.
-func defaultTop(m *Module) string {
-	top := ""
-	for _, u := range m.Units {
-		if u.Kind == ir.UnitEntity {
-			top = u.Name
-		}
-	}
-	return top
 }
 
 // init runs every process to its first suspension, exactly once.
