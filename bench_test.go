@@ -127,7 +127,7 @@ func BenchmarkFigure5Lowering(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := pass.LoweringPipeline().RunFixpoint(m, 8); err != nil {
+		if err := pass.LoweringPipeline().RunFixpoint(m, pass.FixpointLimit); err != nil {
 			b.Fatal(err)
 		}
 	}

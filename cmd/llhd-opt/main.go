@@ -63,7 +63,7 @@ func main() {
 	if *passList == "" {
 		pipeline := pass.LoweringPipeline()
 		pipeline.VerifyEach = *verifyEach
-		if err := pipeline.RunFixpoint(m, 8); err != nil {
+		if err := pipeline.RunFixpoint(m, pass.FixpointLimit); err != nil {
 			fatal(err)
 		}
 	} else {

@@ -26,7 +26,7 @@ func TestLowerProducesValidIR(t *testing.T) {
 			}
 			pipeline := pass.LoweringPipeline()
 			pipeline.VerifyEach = true
-			if err := pipeline.RunFixpoint(m, 8); err != nil {
+			if err := pipeline.RunFixpoint(m, pass.FixpointLimit); err != nil {
 				t.Fatalf("Lower: %v", err)
 			}
 			if err := ir.Verify(m, ir.Behavioural); err != nil {

@@ -2,6 +2,7 @@ package pass
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"llhd/internal/ir"
@@ -41,36 +42,37 @@ func cseKey(in *ir.Inst) string {
 	return b.String()
 }
 
+// cseUnit builds the dominator tree once, as CSE never changes the CFG.
+// Each sweep replaces every duplicate its first occurrence dominates;
+// sweeps repeat while one replaces something, since a replacement can
+// equalize keys recorded apart. Each replacement deletes an instruction.
 func cseUnit(u *ir.Unit) (bool, error) {
+	dt := ir.NewDomTree(u)
 	changed := false
 	for {
-		dt := ir.NewDomTree(u)
 		seen := map[string]*ir.Inst{}
-		var dup *ir.Inst
-		var orig *ir.Inst
-		u.ForEachInst(func(b *ir.Block, in *ir.Inst) {
-			if dup != nil {
-				return
-			}
-			if !in.Op.IsPure() && !in.Op.IsConst() {
-				return
-			}
-			key := cseKey(in)
-			if prev, ok := seen[key]; ok {
-				if u.Kind == ir.UnitEntity || dt.Dominates(prev.Block(), b) {
-					dup, orig = in, prev
-					return
+		replaced := false
+		for _, b := range u.Blocks {
+			for _, in := range slices.Clone(b.Insts) {
+				if !in.Op.IsPure() && !in.Op.IsConst() {
+					continue
 				}
-			} else {
-				seen[key] = in
+				key := cseKey(in)
+				prev, ok := seen[key]
+				if !ok {
+					seen[key] = in
+					continue
+				}
+				if u.Kind == ir.UnitEntity || dt.Dominates(prev.Block(), b) {
+					u.ReplaceAllUses(in, prev)
+					b.Remove(in)
+					replaced = true
+				}
 			}
-		})
-		if dup == nil {
-			break
 		}
-		u.ReplaceAllUses(dup, orig)
-		dup.Block().Remove(dup)
+		if !replaced {
+			return changed, nil
+		}
 		changed = true
 	}
-	return changed, nil
 }

@@ -1,6 +1,10 @@
 package pass
 
-import "llhd/internal/ir"
+import (
+	"slices"
+
+	"llhd/internal/ir"
+)
 
 // ECM returns the Early Code Motion pass (§4.2): pure instructions are
 // eagerly hoisted into predecessor blocks — as far up the dominator tree
@@ -17,44 +21,42 @@ func ECM() Pass {
 	}
 }
 
+// ecmUnit builds the dominator tree, depths and temporal regions once, as
+// hoisting never changes the CFG. Each sweep hoists every candidate;
+// sweeps repeat while one moves something, since a hoist can free its
+// users. Each hoist strictly raises an instruction in the dominator tree.
 func ecmUnit(u *ir.Unit) (bool, error) {
+	dt := ir.NewDomTree(u)
+	depth := domDepths(u, dt)
+	trs := TemporalRegions(u)
 	changed := false
-	for budget := 0; budget < 1000; budget++ {
-		dt := ir.NewDomTree(u)
-		depth := domDepths(u, dt)
-		trs := TemporalRegions(u)
-
+	for {
 		moved := false
-		u.ForEachInst(func(b *ir.Block, in *ir.Inst) {
-			if moved {
-				return
-			}
-			if !hoistable(in) {
-				return
-			}
-			target := hoistTarget(u, dt, depth, in, b)
-			if target == nil || target == b {
-				return
-			}
-			if in.Op == ir.OpPrb {
-				// Walk back down the dom chain until the TR matches.
-				for target != nil && !trs.SameTR(target, b) {
-					target = domChild(dt, target, b)
+		for _, b := range u.Blocks {
+			for _, in := range slices.Clone(b.Insts) {
+				if !hoistable(in) {
+					continue
+				}
+				target := hoistTarget(u, dt, depth, in, b)
+				if in.Op == ir.OpPrb {
+					// Walk back down the dom chain until the TR matches.
+					for target != nil && !trs.SameTR(target, b) {
+						target = domChild(dt, target, b)
+					}
 				}
 				if target == nil || target == b {
-					return
+					continue
 				}
+				b.Remove(in)
+				insertAfterOperands(target, in)
+				moved = true
 			}
-			b.Remove(in)
-			insertAfterOperands(target, in)
-			moved = true
-		})
+		}
 		if !moved {
-			break
+			return changed, nil
 		}
 		changed = true
 	}
-	return changed, nil
 }
 
 func hoistable(in *ir.Inst) bool {
@@ -81,9 +83,6 @@ func hoistTarget(u *ir.Unit, dt *ir.DomTree, depth map[*ir.Block]int, in *ir.Ins
 		if db == nil || !dt.Reachable(db) {
 			ok = false
 			return
-		}
-		if def.Op == ir.OpPhi {
-			// A phi pins the user at or below the phi's block.
 		}
 		if !dt.Dominates(db, b) {
 			ok = false // malformed or cross-path use; leave alone

@@ -29,11 +29,9 @@ func (*inlineEntitiesPass) Run(m *ir.Module) (bool, error) {
 		if u.Kind != ir.UnitEntity {
 			continue
 		}
-		for budget := 0; budget < 100; budget++ {
-			target := findInlinableInst(m, u)
-			if target == nil {
-				break
-			}
+		// Each round replaces one inst by the body of a leaf child, which
+		// brings in no new inst, so the loop ends.
+		for target := findInlinableInst(m, u); target != nil; target = findInlinableInst(m, u) {
 			child := m.Unit(target.Callee)
 			if err := inlineEntity(u, child, target); err != nil {
 				return changed, fmt.Errorf("inline-entities: @%s: %w", u.Name, err)
@@ -169,8 +167,9 @@ func (*signalForwardingPass) Run(m *ir.Module) (bool, error) {
 }
 
 func forwardSignals(u *ir.Unit) (bool, error) {
+	// Each round removes one signal, so the loop ends.
 	changed := false
-	for budget := 0; budget < 100; budget++ {
+	for {
 		body := u.Body()
 		uses := u.Uses()
 

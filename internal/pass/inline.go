@@ -24,11 +24,8 @@ func (*inlinePass) Run(m *ir.Module) (bool, error) {
 		if u.Kind == ir.UnitEntity {
 			continue
 		}
-		for budget := 0; budget < 100; budget++ {
-			call := findInlinableCall(m, u)
-			if call == nil {
-				break
-			}
+		// Recursive calls are never inlined, so the loop ends.
+		for call := findInlinableCall(m, u); call != nil; call = findInlinableCall(m, u) {
 			if err := inlineCall(m, u, call); err != nil {
 				return changed, fmt.Errorf("inline: @%s: %w", u.Name, err)
 			}

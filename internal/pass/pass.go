@@ -8,6 +8,8 @@ package pass
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"llhd/internal/ir"
 )
@@ -63,15 +65,18 @@ type Pipeline struct {
 	VerifyEach bool
 }
 
-// Run executes each pass once in order.
-func (pl *Pipeline) Run(m *ir.Module) (bool, error) {
-	changed := false
+// Run executes each pass once in order and returns the names of the
+// passes that reported a change, each name once.
+func (pl *Pipeline) Run(m *ir.Module) ([]string, error) {
+	var changed []string
 	for _, p := range pl.Passes {
 		c, err := p.Run(m)
 		if err != nil {
 			return changed, err
 		}
-		changed = changed || c
+		if c && !slices.Contains(changed, p.Name()) {
+			changed = append(changed, p.Name())
+		}
 		if pl.VerifyEach {
 			if err := ir.Verify(m, ir.Behavioural); err != nil {
 				return changed, fmt.Errorf("verify-each: after pass %q: %w", p.Name(), err)
@@ -81,19 +86,26 @@ func (pl *Pipeline) Run(m *ir.Module) (bool, error) {
 	return changed, nil
 }
 
-// RunFixpoint repeats the pipeline until no pass reports a change (capped
-// at limit iterations).
+// FixpointLimit is the round limit llhd.Lower and the tools give
+// RunFixpoint for the lowering pipeline.
+const FixpointLimit = 8
+
+// RunFixpoint repeats the pipeline until a round in which no pass reports
+// a change. Still changing after limit rounds is an error naming the
+// passes that changed in the last round.
 func (pl *Pipeline) RunFixpoint(m *ir.Module, limit int) error {
+	var changed []string
 	for i := 0; i < limit; i++ {
-		changed, err := pl.Run(m)
-		if err != nil {
+		var err error
+		if changed, err = pl.Run(m); err != nil {
 			return err
 		}
-		if !changed {
+		if len(changed) == 0 {
 			return nil
 		}
 	}
-	return nil
+	return fmt.Errorf("pipeline did not converge in %d rounds; still changing in the last: %s",
+		limit, strings.Join(changed, ", "))
 }
 
 // Names lists the pass names in order.
@@ -150,7 +162,7 @@ func LoweringPipeline() *Pipeline {
 // result at the requested level.
 func Lower(m *ir.Module, target ir.Level) error {
 	pl := LoweringPipeline()
-	if err := pl.RunFixpoint(m, 8); err != nil {
+	if err := pl.RunFixpoint(m, FixpointLimit); err != nil {
 		return err
 	}
 	return ir.Verify(m, target)

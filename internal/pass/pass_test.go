@@ -366,3 +366,57 @@ proc @tb () -> (i1$ %clk) {
 		t.Error("Lower accepted a timed testbench process")
 	}
 }
+
+// flipPass is a test-only pass that sets one shared flag to its value and
+// reports a change whenever the flag held the other value.
+type flipPass struct {
+	name string
+	flag *bool
+	to   bool
+}
+
+func (p *flipPass) Name() string { return p.name }
+
+func (p *flipPass) Run(*ir.Module) (bool, error) {
+	if *p.flag == p.to {
+		return false, nil
+	}
+	*p.flag = p.to
+	return true, nil
+}
+
+// TestRunFixpointFailsAtLimit pins loud non-convergence: two passes that
+// undo each other every round make RunFixpoint return an error naming the
+// limit and both passes, not the pass that stayed quiet.
+func TestRunFixpointFailsAtLimit(t *testing.T) {
+	flag := false
+	pl := &Pipeline{Passes: []Pass{
+		&flipPass{name: "set", flag: &flag, to: true},
+		DCE(),
+		&flipPass{name: "clear", flag: &flag, to: false},
+	}}
+	err := pl.RunFixpoint(ir.NewModule("m"), 5)
+	if err == nil {
+		t.Fatal("RunFixpoint returned nil for an oscillating pipeline")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "5 rounds") || !strings.Contains(msg, "set, clear") || strings.Contains(msg, "dce") {
+		t.Errorf("error %q should name the limit 5 and exactly the passes set and clear", msg)
+	}
+}
+
+// TestRunFixpointConverges checks the other side of the limit: a pipeline
+// whose second round changes nothing converges at limit 2, and fails at
+// limit 1, where the last permitted round still changed the module.
+func TestRunFixpointConverges(t *testing.T) {
+	for _, tc := range []struct {
+		limit int
+		ok    bool
+	}{{1, false}, {2, true}} {
+		flag := false
+		pl := &Pipeline{Passes: []Pass{&flipPass{name: "set", flag: &flag, to: true}}}
+		if err := pl.RunFixpoint(ir.NewModule("m"), tc.limit); (err == nil) != tc.ok {
+			t.Errorf("limit %d: err = %v, want converged = %v", tc.limit, err, tc.ok)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package pass
 
-import "llhd/internal/ir"
+import (
+	"slices"
+
+	"llhd/internal/ir"
+)
 
 // InstSimplify returns the IS peephole pass (§4.1), the analog of LLVM's
 // instruction combining: short instruction sequences are reduced to
@@ -168,34 +172,28 @@ func simplifyInst(in *ir.Inst) (ir.Value, bool) {
 	return nil, false
 }
 
+// simplifyUnit applies every replacement and in-place rewrite in one
+// sweep, and sweeps again while one changes something: a replacement can
+// simplify an instruction already passed (a loop phi fed by a later
+// value). Replacements delete instructions and in-place rewrites only
+// turn eq/neq into not/xor, so the loop ends.
 func simplifyUnit(u *ir.Unit) (bool, error) {
 	changed := false
 	for {
-		var from *ir.Inst
-		var to ir.Value
-		mutated := false
-		u.ForEachInst(func(_ *ir.Block, in *ir.Inst) {
-			if from != nil {
-				return
+		rewrote := false
+		for _, b := range u.Blocks {
+			for _, in := range slices.Clone(b.Insts) {
+				r, mutated := simplifyInst(in)
+				if r != nil && r != in {
+					u.ReplaceAllUses(in, r)
+					b.Remove(in)
+					mutated = true
+				}
+				rewrote = rewrote || mutated
 			}
-			r, m := simplifyInst(in)
-			if m {
-				mutated = true
-			}
-			if r != nil && r != in {
-				from, to = in, r
-			}
-		})
-		if from == nil {
-			if mutated {
-				changed = true
-				continue
-			}
-			break
 		}
-		u.ReplaceAllUses(from, to)
-		if b := from.Block(); b != nil {
-			b.Remove(from)
+		if !rewrote {
+			break
 		}
 		changed = true
 	}

@@ -1,6 +1,10 @@
 package pass
 
-import "llhd/internal/ir"
+import (
+	"slices"
+
+	"llhd/internal/ir"
+)
 
 // TCFE returns the Total Control Flow Elimination pass (§4.4): the empty
 // blocks left behind by TCM are removed and straight-line block chains are
@@ -19,18 +23,12 @@ func tcfeUnit(u *ir.Unit) (bool, error) {
 	// removes the obstacle that kept a forwarder or chain from merging, and
 	// a merge can bring a phi's operands into dominating position. Iterate
 	// both to a joint fixpoint, so one run reaches the state a repeated run
-	// would (pass idempotence, relied on by RunFixpoint convergence).
+	// would (pass idempotence, relied on by RunFixpoint convergence). Merges
+	// remove blocks or branch destinations and phi-to-mux removes phis
+	// without touching the CFG, so the loop ends.
 	changed := false
-	for budget := 0; budget < 1000; budget++ {
-		if mergeOnce(u) {
-			changed = true
-			continue
-		}
-		if phiToMux(u) {
-			changed = true
-			continue
-		}
-		break
+	for mergeOnce(u) || phiToMux(u) {
+		changed = true
 	}
 	return changed, nil
 }
@@ -106,85 +104,9 @@ func mergeOnce(u *ir.Unit) bool {
 
 	// Forwarder elimination.
 	for _, b := range u.Blocks {
-		if b == u.Entry() || len(b.Insts) != 1 {
-			continue
+		if removeForwarder(u, b, preds) {
+			return true
 		}
-		term := b.Terminator()
-		if term == nil || term.Op != ir.OpBr || len(term.Dests) != 1 || len(term.Args) != 0 {
-			continue
-		}
-		dest := term.Dests[0]
-		if dest == b {
-			continue
-		}
-		// Phis in dest must not distinguish between b's preds and dest's
-		// other preds; retargeting is safe when dest has no phis that
-		// mention b with a different value than they would get.
-		hasPhi := false
-		for _, in := range dest.Insts {
-			if in.Op == ir.OpPhi {
-				hasPhi = true
-				break
-			}
-		}
-		if hasPhi {
-			// Soundness: retargeting makes each pred p of b an incoming
-			// block of dest's phis, carrying b's value. If a phi already
-			// has an entry for p (p also reaches dest through another
-			// edge) with a *different* value, the rewritten phi could no
-			// longer distinguish the two edges — the classic critical-edge
-			// hazard. A conditional "br %c, %b1, %b2" whose arms are both
-			// forwarders to dest hits this on the second elimination;
-			// collapsing it anyway rewrote the phi to one arbitrary arm
-			// (miscompile found by the differential fuzzer, seed 4).
-			safe := true
-			for _, in := range dest.Insts {
-				if in.Op != ir.OpPhi || !safe {
-					continue
-				}
-				for i, pb := range in.Dests {
-					if pb != b {
-						continue
-					}
-					for _, p := range preds[b] {
-						for j, qb := range in.Dests {
-							if j != i && qb == p && in.Args[j] != in.Args[i] {
-								safe = false
-							}
-						}
-					}
-				}
-			}
-			if !safe {
-				continue
-			}
-			// Rewrite the phi entries from b to each of b's preds.
-			for _, in := range dest.Insts {
-				if in.Op != ir.OpPhi {
-					continue
-				}
-				for i, pb := range in.Dests {
-					if pb != b {
-						continue
-					}
-					v := in.Args[i]
-					bp := preds[b]
-					if len(bp) == 0 {
-						continue
-					}
-					in.Dests[i] = bp[0]
-					for _, extra := range bp[1:] {
-						in.Args = append(in.Args, v)
-						in.Dests = append(in.Dests, extra)
-					}
-				}
-			}
-		}
-		for _, p := range preds[b] {
-			p.Terminator().ReplaceDest(b, dest)
-		}
-		u.RemoveBlock(b)
-		return true
 	}
 
 	// Chain merge.
@@ -229,67 +151,126 @@ func mergeOnce(u *ir.Unit) bool {
 	return false
 }
 
+// removeForwarder deletes b if it is a forwarder, a non-entry block
+// holding only "br dest", retargeting its predecessors to dest, and
+// reports whether it did. TCFE and TCM (for aux blocks) share it.
+func removeForwarder(u *ir.Unit, b *ir.Block, preds map[*ir.Block][]*ir.Block) bool {
+	if b == u.Entry() || len(b.Insts) != 1 {
+		return false
+	}
+	term := b.Terminator()
+	if term == nil || term.Op != ir.OpBr || len(term.Dests) != 1 || len(term.Args) != 0 {
+		return false
+	}
+	dest := term.Dests[0]
+	if dest == b {
+		return false
+	}
+	// Soundness: retargeting makes each pred p of b an incoming block of
+	// dest's phis, carrying b's value. If a phi already has an entry for p
+	// (p also reaches dest through another edge) with a *different* value,
+	// the rewritten phi could no longer distinguish the two edges — the
+	// classic critical-edge hazard. A conditional "br %c, %b1, %b2" whose
+	// arms are both forwarders to dest hits this on the second
+	// elimination; collapsing it anyway rewrote the phi to one arbitrary
+	// arm (miscompile found by the differential fuzzer, seed 4).
+	for _, in := range dest.Insts {
+		if in.Op != ir.OpPhi {
+			continue
+		}
+		for i, pb := range in.Dests {
+			if pb != b {
+				continue
+			}
+			for _, p := range preds[b] {
+				for j, qb := range in.Dests {
+					if j != i && qb == p && in.Args[j] != in.Args[i] {
+						return false
+					}
+				}
+			}
+		}
+	}
+	// Rewrite the phi entries from b to each of b's preds.
+	for _, in := range dest.Insts {
+		if in.Op != ir.OpPhi {
+			continue
+		}
+		for i, pb := range in.Dests {
+			if pb != b {
+				continue
+			}
+			v := in.Args[i]
+			bp := preds[b]
+			if len(bp) == 0 {
+				continue
+			}
+			in.Dests[i] = bp[0]
+			for _, extra := range bp[1:] {
+				in.Args = append(in.Args, v)
+				in.Dests = append(in.Dests, extra)
+			}
+		}
+	}
+	for _, p := range preds[b] {
+		p.Terminator().ReplaceDest(b, dest)
+	}
+	u.RemoveBlock(b)
+	return true
+}
+
 // phiToMux converts remaining two-entry phis into mux instructions (§4.4):
-// the selector is derived the same way as a TCM drive condition.
+// the selector is derived the same way as a TCM drive condition. It
+// builds its analyses once, since conversions never change the CFG, and
+// stops at the first phi it cannot convert.
 func phiToMux(u *ir.Unit) bool {
+	dt := ir.NewDomTree(u)
+	trs := TemporalRegions(u)
 	changed := false
-	for budget := 0; budget < 100; budget++ {
-		dt := ir.NewDomTree(u)
-		trs := TemporalRegions(u)
-		var phi *ir.Inst
-		var home *ir.Block
-		u.ForEachInst(func(b *ir.Block, in *ir.Inst) {
-			if phi == nil && in.Op == ir.OpPhi && len(in.Args) == 2 {
-				phi, home = in, b
+	for _, home := range u.Blocks {
+		for _, phi := range slices.Clone(home.Insts) {
+			if phi.Op != ir.OpPhi || len(phi.Args) != 2 {
+				continue
 			}
-		})
-		if phi == nil {
-			break
-		}
-		// Selector: condition under which control arrives via Dests[1].
-		dom := dt.CommonDominator(phi.Dests[0], phi.Dests[1])
-		if dom == nil {
-			break
-		}
-		// Operands must be available where the mux will sit: defined in a
-		// strictly dominating block, or earlier in the same block. A
-		// same-block definition after the phi (the loop-carried increment
-		// of a loop-header phi) reads the value of the previous iteration
-		// along its edge; as a mux operand it would be a combinational
-		// cycle, so those phis must stay phis.
-		availableAt := func(v ir.Value) bool {
-			def, isInst := v.(*ir.Inst)
-			if !isInst {
-				return true
+			// Selector: condition under which control arrives via Dests[1].
+			dom := dt.CommonDominator(phi.Dests[0], phi.Dests[1])
+			if dom == nil {
+				return changed
 			}
-			if def.Block() == nil {
-				return false
+			// Operands must be available where the mux will sit: defined in
+			// a strictly dominating block, or earlier in the same block. A
+			// same-block definition after the phi (the loop-carried
+			// increment of a loop-header phi) reads the previous iteration's
+			// value along its edge; as a mux operand it would be a
+			// combinational cycle, so those phis must stay phis.
+			availableAt := func(v ir.Value) bool {
+				def, isInst := v.(*ir.Inst)
+				if !isInst {
+					return true
+				}
+				if def.Block() == nil {
+					return false
+				}
+				if def.Block() == home {
+					return home.Index(def) < home.Index(phi)
+				}
+				return dt.Dominates(def.Block(), home)
 			}
-			if def.Block() == home {
-				return home.Index(def) < home.Index(phi)
+			if !availableAt(phi.Args[0]) || !availableAt(phi.Args[1]) {
+				return changed
 			}
-			return dt.Dominates(def.Block(), home)
-		}
-		ok := true
-		for _, a := range phi.Args {
-			if !availableAt(a) {
-				ok = false
+			cond, condOK := pathCondition(u, dt, trs, dom, phi.Dests[1], home, phi)
+			if !condOK || cond == nil || !availableAt(cond) {
+				return changed
 			}
+			arr := &ir.Inst{Op: ir.OpArray, Ty: ir.ArrayType(2, phi.Ty), Args: []ir.Value{phi.Args[0], phi.Args[1]}}
+			mux := &ir.Inst{Op: ir.OpMux, Ty: phi.Ty, Args: []ir.Value{arr, cond}}
+			home.InsertBefore(arr, phi)
+			home.InsertBefore(mux, phi)
+			u.ReplaceAllUses(phi, mux)
+			home.Remove(phi)
+			changed = true
 		}
-		if !ok {
-			break
-		}
-		cond, condOK := pathCondition(u, dt, trs, dom, phi.Dests[1], home, phi)
-		if !condOK || cond == nil || !availableAt(cond) {
-			break
-		}
-		arr := &ir.Inst{Op: ir.OpArray, Ty: ir.ArrayType(2, phi.Ty), Args: []ir.Value{phi.Args[0], phi.Args[1]}}
-		mux := &ir.Inst{Op: ir.OpMux, Ty: phi.Ty, Args: []ir.Value{arr, cond}}
-		home.InsertBefore(arr, phi)
-		home.InsertBefore(mux, phi)
-		u.ReplaceAllUses(phi, mux)
-		home.Remove(phi)
-		changed = true
 	}
 	return changed
 }

@@ -20,9 +20,7 @@ func tcmUnit(u *ir.Unit) (bool, error) {
 	changed := false
 
 	// Step 1: single exiting block per TR (§4.3.2).
-	if c := singleExitPerTR(u); c {
-		changed = true
-	}
+	aux := singleExitPerTR(u)
 
 	trs := TemporalRegions(u)
 	exits := trs.ExitBlocks(u)
@@ -116,14 +114,24 @@ func tcmUnit(u *ir.Unit) (bool, error) {
 			changed = true
 		}
 	}
+
+	// An auxiliary block no drive moved into still holds only its branch.
+	// Removing it restores the original branches, so it is no change; left
+	// in place, TCFE would remove it and the next round insert it again.
+	for _, b := range aux {
+		if !removeForwarder(u, b, u.Preds()) {
+			changed = true
+		}
+	}
 	return changed, nil
 }
 
 // singleExitPerTR inserts an auxiliary block when a TR has several arcs to
-// a successor TR, so that each TR gets a unique exiting block.
-func singleExitPerTR(u *ir.Unit) bool {
+// a successor TR, so that each TR gets a unique exiting block. It returns
+// the inserted blocks.
+func singleExitPerTR(u *ir.Unit) []*ir.Block {
 	trs := TemporalRegions(u)
-	changed := false
+	var inserted []*ir.Block
 
 	// Group cross-TR branch arcs by (source TR, dest block). Rule 3
 	// guarantees a unique entry block per TR, so the dest block identifies
@@ -224,10 +232,10 @@ func singleExitPerTR(u *ir.Unit) bool {
 				}
 				in.Args, in.Dests = args, blocks
 			}
-			changed = true
+			inserted = append(inserted, aux)
 		}
 	}
-	return changed
+	return inserted
 }
 
 // pathCondition computes the branch condition under which control flows

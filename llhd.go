@@ -229,5 +229,5 @@ func LevelOf(m *Module) Level {
 // Testbench processes without a structural equivalent are left behavioural;
 // use Verify(m, Structural) to require full lowering.
 func Lower(m *Module) error {
-	return pass.LoweringPipeline().RunFixpoint(m, 8)
+	return pass.LoweringPipeline().RunFixpoint(m, pass.FixpointLimit)
 }

@@ -11,6 +11,7 @@ import (
 
 	"llhd"
 	"llhd/internal/designs"
+	"llhd/internal/pass"
 )
 
 // loweredSum is the lowered-output golden: one "name digest" line per
@@ -126,6 +127,18 @@ func TestLowerGolden(t *testing.T) {
 	for name := range want {
 		if _, ok := got[name]; !ok {
 			t.Errorf("%s: golden digest has no input", name)
+		}
+	}
+}
+
+// TestLowerConvergesInThreeRounds pins the lowering pipeline's
+// convergence on the golden inputs: on every one, a round in which no pass
+// reports a change comes within three rounds. Passes that undo each
+// other's work would instead keep changing until pass.FixpointLimit.
+func TestLowerConvergesInThreeRounds(t *testing.T) {
+	for _, in := range loweringGoldenInputs(t) {
+		if err := pass.LoweringPipeline().RunFixpoint(in.mk(t), 3); err != nil {
+			t.Errorf("%s: %v", in.name, err)
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // TestPassIdempotence pins per-pass convergence: every registered pass,
 // run twice in a row on the same module, must report changed == false on
 // the second run. A pass that keeps reporting change on its own output
-// would oscillate under RunFixpoint and burn the iteration cap instead of
-// converging. Each pass is checked from two starting states per input —
+// would oscillate under RunFixpoint, which fails loudly at its round limit
+// instead of converging. Each pass is checked from two starting states per input —
 // the freshly built behavioural module and the fully lowered one — over
 // every Table 2 design and every checked-in corpus entry.
 func TestPassIdempotence(t *testing.T) {
