@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance perfbench-test bench bench-kernel bench-table2 bench-farm
+.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance perfbench-test bench bench-kernel bench-lower bench-table2 bench-farm
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -78,6 +78,11 @@ bench:
 # fan-out, delta cascade); all must report 0 allocs/op at steady state.
 bench-kernel:
 	$(GO) test -bench BenchmarkEngineKernel -benchmem -run xxx ./internal/engine/
+
+# bench-lower measures llhd.Lower alone on each Table 2 design (moore runs
+# outside the timer): the ns/op and allocs/op trend of the §4 lowering.
+bench-lower:
+	$(GO) test -bench BenchmarkLowerTable2 -benchmem -run xxx .
 
 # bench-table2 runs the Table 2 benchmark and records the machine-readable
 # trajectory artifact (ns/op and allocs/op per design and engine).

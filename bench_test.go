@@ -133,6 +133,29 @@ func BenchmarkFigure5Lowering(b *testing.B) {
 	}
 }
 
+// BenchmarkLowerTable2 measures llhd.Lower alone on every Table 2 design:
+// moore compiles a fresh behavioural module outside the timer, so one op
+// is one full §4 lowering to fixpoint. Run with make bench-lower.
+func BenchmarkLowerTable2(b *testing.B) {
+	for _, d := range designs.All() {
+		d := d
+		b.Run(d.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m, err := llhd.CompileSystemVerilog(d.Name, d.Source)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := llhd.Lower(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFarmThroughput measures concurrent session throughput
 // (sims/sec) through llhd.Farm at -j 1, 4, and 8 workers: one op is a
 // full sweep of the Table 2 designs on the interpreter and the compiled

@@ -144,13 +144,12 @@ func removeNthInst(m *ir.Module, i int) bool {
 					n++
 					continue
 				}
-				uses := u.Uses()[in]
-				if len(uses) > 0 {
+				if hasUse(u, in) {
 					repl := replacementFor(b, in)
 					if repl == nil {
 						return true // eligible but stuck: no-op
 					}
-					u.ReplaceAllUses(in, repl)
+					u.ReplaceUses(map[ir.Value]ir.Value{in: repl})
 				}
 				b.Remove(in)
 				return true
@@ -158,6 +157,17 @@ func removeNthInst(m *ir.Module, i int) bool {
 		}
 	}
 	return false
+}
+
+// hasUse reports whether any instruction of u has v as an operand.
+func hasUse(u *ir.Unit, v ir.Value) bool {
+	used := false
+	u.ForEachInst(func(_ *ir.Block, in *ir.Inst) {
+		if !used {
+			in.Operands(func(x ir.Value) { used = used || x == v })
+		}
+	})
+	return used
 }
 
 // replacementFor finds a value to stand in for in at its uses: an operand

@@ -334,37 +334,30 @@ func (in *Inst) Operands(fn func(Value)) {
 	}
 }
 
-// ReplaceOperand substitutes every operand equal to old with new. It
-// returns the number of replacements.
-func (in *Inst) ReplaceOperand(old, new Value) int {
+// ReplaceOperands rewrites every operand of in that has an entry in repl
+// to the end of its replacement chain (Resolve), and returns the number of
+// operands rewritten.
+func (in *Inst) ReplaceOperands(repl map[Value]Value) int {
 	n := 0
-	for i, a := range in.Args {
-		if a == old {
-			in.Args[i] = new
+	replace := func(v *Value) {
+		if *v == nil {
+			return
+		}
+		if _, ok := repl[*v]; ok {
+			*v = Resolve(repl, *v)
 			n++
 		}
 	}
-	if in.TimeArg == old {
-		in.TimeArg = new
-		n++
+	for i := range in.Args {
+		replace(&in.Args[i])
 	}
-	if in.Delay == old {
-		in.Delay = new
-		n++
-	}
+	replace(&in.TimeArg)
+	replace(&in.Delay)
 	for i := range in.Triggers {
-		if in.Triggers[i].Value == old {
-			in.Triggers[i].Value = new
-			n++
-		}
-		if in.Triggers[i].Trigger == old {
-			in.Triggers[i].Trigger = new
-			n++
-		}
-		if in.Triggers[i].Gate == old {
-			in.Triggers[i].Gate = new
-			n++
-		}
+		t := &in.Triggers[i]
+		replace(&t.Value)
+		replace(&t.Trigger)
+		replace(&t.Gate)
 	}
 	return n
 }

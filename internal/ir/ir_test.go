@@ -338,6 +338,87 @@ func TestUsesAndReplace(t *testing.T) {
 	}
 }
 
+func TestReplaceUsesFollowsChains(t *testing.T) {
+	u := NewUnit(UnitEntity, "e")
+	body := u.Body()
+	k := func() *Inst {
+		in := &Inst{Op: OpConstInt, Ty: IntType(1)}
+		body.Append(in)
+		return in
+	}
+	a, b, c := k(), k(), k()
+	wait := &Inst{Op: OpWait, Args: []Value{a, b}, TimeArg: a}
+	reg := &Inst{Op: OpReg, Args: []Value{a}, Delay: a, Triggers: []RegTrigger{
+		{Value: a, Trigger: a, Gate: a},
+		{Value: b, Trigger: a},
+	}}
+	body.Append(wait)
+	body.Append(reg)
+
+	// a→b→c: every use of a or b ends at c.
+	n := u.ReplaceUses(map[Value]Value{a: b, b: c})
+	if n != 10 {
+		t.Errorf("ReplaceUses = %d, want 10", n)
+	}
+	for i, v := range []Value{
+		wait.Args[0], wait.Args[1], wait.TimeArg,
+		reg.Args[0], reg.Delay,
+		reg.Triggers[0].Value, reg.Triggers[0].Trigger, reg.Triggers[0].Gate,
+		reg.Triggers[1].Value, reg.Triggers[1].Trigger,
+	} {
+		if v != c {
+			t.Errorf("operand %d = %v, want c", i, v)
+		}
+	}
+	if reg.Triggers[1].Gate != nil {
+		t.Error("absent gate was filled in")
+	}
+	if got := Resolve(map[Value]Value{a: b, b: c}, a); got != c {
+		t.Errorf("Resolve(a) = %v, want c", got)
+	}
+}
+
+func TestUsesListsEachUserOnce(t *testing.T) {
+	u := NewUnit(UnitFunc, "f")
+	x := u.AddInput("x", IntType(8))
+	b := NewBuilder(u)
+	b.SetBlock(u.AddBlock("entry"))
+	sq := b.Add(x, x)
+	other := b.Add(sq, x)
+	uses := u.Uses()
+	if got := uses[x]; len(got) != 2 || got[0] != sq || got[1] != other {
+		t.Errorf("uses of x = %v, want [sq other]", got)
+	}
+	if got := uses[sq]; len(got) != 1 || got[0] != other {
+		t.Errorf("uses of sq = %v, want [other]", got)
+	}
+}
+
+func TestRemoveIf(t *testing.T) {
+	u := NewUnit(UnitEntity, "e")
+	body := u.Body()
+	var insts []*Inst
+	for i := 0; i < 4; i++ {
+		in := &Inst{Op: OpConstInt, Ty: IntType(8), IVal: uint64(i)}
+		body.Append(in)
+		insts = append(insts, in)
+	}
+	var order []uint64
+	n := body.RemoveIf(func(in *Inst) bool {
+		order = append(order, in.IVal)
+		return in.IVal%2 == 1
+	})
+	if n != 2 || len(body.Insts) != 2 || body.Insts[0] != insts[0] || body.Insts[1] != insts[2] {
+		t.Fatalf("RemoveIf = %d, left %v", n, body.Insts)
+	}
+	if len(order) != 4 || order[0] != 0 || order[3] != 3 {
+		t.Errorf("drop saw %v, want every instruction in order", order)
+	}
+	if insts[1].Block() != nil || insts[0].Block() != body {
+		t.Error("removed instructions must be detached, kept ones not")
+	}
+}
+
 func TestDomTree(t *testing.T) {
 	//      entry
 	//      /   \

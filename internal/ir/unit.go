@@ -159,30 +159,57 @@ func (u *Unit) ForEachInst(fn func(*Block, *Inst)) {
 }
 
 // Uses computes the use-def index of the unit: for every value, the list of
-// instructions that use it as an operand. The index is a snapshot; passes
-// that mutate the unit must recompute it.
+// instructions that use it as an operand, in block order. An instruction
+// that uses a value more than once is listed once. The index is a
+// snapshot; passes that mutate the unit must recompute it.
 func (u *Unit) Uses() map[Value][]*Inst {
 	uses := make(map[Value][]*Inst)
 	u.ForEachInst(func(_ *Block, in *Inst) {
-		seen := map[Value]bool{}
 		in.Operands(func(v Value) {
-			if !seen[v] {
-				seen[v] = true
-				uses[v] = append(uses[v], in)
+			// Instructions are visited one at a time, so a repeated
+			// operand of in finds in already at the end of its list.
+			if l := uses[v]; len(l) == 0 || l[len(l)-1] != in {
+				uses[v] = append(l, in)
 			}
 		})
 	})
 	return uses
 }
 
+// ReplaceUses rewrites, in one walk over the unit, every operand that has
+// an entry in repl to the end of its replacement chain (Resolve): with
+// a→b and b→c, a use of a becomes c. Passes record a sweep's replacements
+// and apply them with one call instead of one unit walk per replacement.
+// It returns the number of operands rewritten.
+func (u *Unit) ReplaceUses(repl map[Value]Value) int {
+	if len(repl) == 0 {
+		return 0
+	}
+	n := 0
+	u.ForEachInst(func(_ *Block, in *Inst) {
+		n += in.ReplaceOperands(repl)
+	})
+	return n
+}
+
 // ReplaceAllUses rewrites every use of old to new across the unit and
 // returns the number of operands rewritten.
 func (u *Unit) ReplaceAllUses(old, new Value) int {
-	n := 0
-	u.ForEachInst(func(_ *Block, in *Inst) {
-		n += in.ReplaceOperand(old, new)
-	})
-	return n
+	return u.ReplaceUses(map[Value]Value{old: new})
+}
+
+// Resolve follows v through repl to the end of its replacement chain and
+// returns v itself when it has no entry. A cyclic chain is a caller bug;
+// the walk is bounded by len(repl) so it cannot hang.
+func Resolve(repl map[Value]Value, v Value) Value {
+	for i := 0; i < len(repl); i++ {
+		next, ok := repl[v]
+		if !ok {
+			break
+		}
+		v = next
+	}
+	return v
 }
 
 // Preds returns the predecessor map of the unit's CFG.

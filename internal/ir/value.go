@@ -143,6 +143,28 @@ func (b *Block) Remove(inst *Inst) {
 	}
 }
 
+// RemoveIf removes every instruction for which drop returns true, in one
+// pass over the block. drop sees the instructions in order and must not
+// modify the block. Like Remove it does not touch uses. It returns the
+// number of instructions removed.
+func (b *Block) RemoveIf(drop func(*Inst) bool) int {
+	kept := b.Insts[:0]
+	for _, in := range b.Insts {
+		if drop(in) {
+			in.block = nil
+		} else {
+			kept = append(kept, in)
+		}
+	}
+	n := len(b.Insts) - len(kept)
+	if n > 0 {
+		clear(b.Insts[len(kept):])
+		b.Insts = kept
+		b.invalidateNumbering()
+	}
+	return n
+}
+
 // Index returns the position of inst within the block, or -1.
 func (b *Block) Index(inst *Inst) int {
 	for i, in := range b.Insts {

@@ -1,6 +1,8 @@
 package pass
 
 import (
+	"slices"
+
 	"llhd/internal/engine"
 	"llhd/internal/ir"
 	"llhd/internal/val"
@@ -41,6 +43,13 @@ func foldUnit(u *ir.Unit) (bool, error) {
 				}
 				if !in.Op.IsPure() {
 					return
+				}
+				// EvalPure reads every operand of a pure instruction, so
+				// one that is not yet known would only cost it an error.
+				for _, a := range in.Args {
+					if _, ok := known[a]; !ok {
+						return
+					}
 				}
 				v, err := engine.EvalPure(in, func(x ir.Value) (val.Value, bool) {
 					k, ok := known[x]
@@ -126,41 +135,46 @@ func pruneDeadPhiEdges(u *ir.Unit) {
 		}
 	}
 	walk(u.Entry())
-	var kept []*ir.Block
+	// The unit gets a fresh block slice: foldUnit calls this from inside a
+	// range over the old one.
+	live := make(map[*ir.Block]bool, len(u.Blocks))
+	kept := make([]*ir.Block, 0, len(u.Blocks))
 	for _, b := range u.Blocks {
 		if reach[b] {
 			kept = append(kept, b)
+			live[b] = true
 		}
 	}
 	u.Blocks = kept
 
-	preds := u.Preds()
+	// A phi entry survives while its block is a live predecessor.
+	repl := map[ir.Value]ir.Value{}
 	for _, b := range u.Blocks {
 		for _, in := range b.Insts {
 			if in.Op != ir.OpPhi {
 				continue
 			}
-			var args []ir.Value
-			var dests []*ir.Block
-			for i, pb := range in.Dests {
-				isPred := false
-				for _, p := range preds[b] {
-					if p == pb {
-						isPred = true
-						break
+			isPred := func(pb *ir.Block) bool { return live[pb] && slices.Contains(pb.Succs(), b) }
+			if len(in.Args) != len(in.Dests) || slices.ContainsFunc(in.Dests, func(pb *ir.Block) bool { return !isPred(pb) }) {
+				var args []ir.Value
+				var dests []*ir.Block
+				for i, pb := range in.Dests {
+					if isPred(pb) {
+						args = append(args, in.Args[i])
+						dests = append(dests, pb)
 					}
 				}
-				if isPred {
-					args = append(args, in.Args[i])
-					dests = append(dests, pb)
-				}
+				in.Args, in.Dests = args, dests
 			}
-			in.Args, in.Dests = args, dests
 			// Single-entry phi degenerates to a copy; InstSimplify will
-			// fold it, but do it here to keep verifiers happy.
+			// fold it, but do it here to keep verifiers happy. Resolving
+			// the copy now keeps the replacements acyclic.
 			if len(in.Args) == 1 {
-				u.ReplaceAllUses(in, in.Args[0])
+				if r := ir.Resolve(repl, in.Args[0]); r != in {
+					repl[in] = r
+				}
 			}
 		}
 	}
+	u.ReplaceUses(repl)
 }

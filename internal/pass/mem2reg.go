@@ -131,7 +131,7 @@ func mem2regUnit(u *ir.Unit) (bool, error) {
 	// resolved through the full replacement chain after all replacements
 	// are known — otherwise dropped loads leak into phi operands and
 	// rewritten uses as dangling references.
-	repl := map[*ir.Inst]ir.Value{}
+	repl := map[ir.Value]ir.Value{}
 	for _, b := range u.Blocks {
 		cur := map[*ir.Inst]ir.Value{}
 		for _, v := range vars {
@@ -158,26 +158,10 @@ func mem2regUnit(u *ir.Unit) (bool, error) {
 			}
 		}
 	}
-	// resolve follows replacement chains to a value that survives phase 5.
-	// Chains are acyclic (cross-block flow passes through the phis placed in
-	// phase 1), but the walk is bounded defensively.
-	resolve := func(x ir.Value) ir.Value {
-		for i := 0; i <= len(repl); i++ {
-			ld, ok := x.(*ir.Inst)
-			if !ok {
-				return x
-			}
-			rv, ok := repl[ld]
-			if !ok {
-				return x
-			}
-			x = rv
-		}
-		return x
-	}
-	for ld := range repl {
-		u.ReplaceAllUses(ld, resolve(ld))
-	}
+	// Chains are acyclic (cross-block flow passes through the phis placed
+	// in phase 1); ReplaceUses follows them to a value that survives
+	// phase 5.
+	u.ReplaceUses(repl)
 
 	// Phase 4: fill phi operands from predecessor exit values, resolved
 	// past any promoted loads.
@@ -188,7 +172,7 @@ func mem2regUnit(u *ir.Unit) (bool, error) {
 				if pv == nil {
 					pv = initOf[v]
 				}
-				phi.Args = append(phi.Args, resolve(pv))
+				phi.Args = append(phi.Args, ir.Resolve(repl, pv))
 				phi.Dests = append(phi.Dests, p)
 			}
 		}
@@ -196,22 +180,16 @@ func mem2regUnit(u *ir.Unit) (bool, error) {
 
 	// Phase 5: drop the promoted memory instructions.
 	for _, b := range u.Blocks {
-		kept := b.Insts[:0]
-		for _, in := range b.Insts {
-			drop := false
+		b.RemoveIf(func(in *ir.Inst) bool {
 			switch in.Op {
 			case ir.OpVar:
-				drop = containsVar(vars, in)
+				return containsVar(vars, in)
 			case ir.OpLd, ir.OpSt:
-				if v, ok := in.Args[0].(*ir.Inst); ok {
-					drop = containsVar(vars, v)
-				}
+				v, ok := in.Args[0].(*ir.Inst)
+				return ok && containsVar(vars, v)
 			}
-			if !drop {
-				kept = append(kept, in)
-			}
-		}
-		b.Insts = kept
+			return false
+		})
 	}
 	return true, nil
 }
@@ -336,27 +314,39 @@ func containsVar(vars []*ir.Inst, v *ir.Inst) bool {
 // promotableVars finds var instructions whose only uses are direct ld/st
 // (address position for st).
 func promotableVars(u *ir.Unit) []*ir.Inst {
-	uses := u.Uses()
-	var out []*ir.Inst
+	promotable := map[*ir.Inst]bool{}
+	var vars []*ir.Inst
 	u.ForEachInst(func(_ *ir.Block, in *ir.Inst) {
-		if in.Op != ir.OpVar {
-			return
+		if in.Op == ir.OpVar {
+			promotable[in] = true
+			vars = append(vars, in)
 		}
-		ok := true
-		for _, use := range uses[in] {
+	})
+	if len(vars) == 0 {
+		return nil
+	}
+	u.ForEachInst(func(_ *ir.Block, use *ir.Inst) {
+		use.Operands(func(v ir.Value) {
+			in, ok := v.(*ir.Inst)
+			if !ok || in.Op != ir.OpVar {
+				return
+			}
 			switch use.Op {
 			case ir.OpLd:
 			case ir.OpSt:
 				if use.Args[1] == in {
-					ok = false // address stored as a value
+					promotable[in] = false // address stored as a value
 				}
 			default:
-				ok = false
+				promotable[in] = false
 			}
-		}
-		if ok {
-			out = append(out, in)
-		}
+		})
 	})
+	out := vars[:0]
+	for _, v := range vars {
+		if promotable[v] {
+			out = append(out, v)
+		}
+	}
 	return out
 }

@@ -1,6 +1,7 @@
 package pass
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -109,6 +110,162 @@ func @f (i32 %x, i32 %y) i32 {
 	})
 	if adds != 1 {
 		t.Errorf("%d adds after CSE, want 1 (commutative dedupe)", adds)
+	}
+}
+
+// countOps counts the instructions of u with opcode op.
+func countOps(u *ir.Unit, op ir.Opcode) int {
+	n := 0
+	u.ForEachInst(func(_ *ir.Block, in *ir.Inst) {
+		if in.Op == op {
+			n++
+		}
+	})
+	return n
+}
+
+// stringCSEKey is the reference for cseKey: a formatted string of the same
+// fields, with commutative operand pairs ordered by address. Two
+// instructions must get equal string keys exactly when CSE matches them.
+func stringCSEKey(in *ir.Inst) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d:%p:%d:%d:%d", in.Op, in.Ty, in.IVal, in.Imm0, in.Imm1)
+	if in.Op == ir.OpConstTime {
+		fmt.Fprintf(&b, ":%v", in.TVal)
+	}
+	if in.Op == ir.OpConstLogic {
+		fmt.Fprintf(&b, ":%v", in.LVal)
+	}
+	args := in.Args
+	if in.Op.IsCommutative() && len(args) == 2 {
+		a0, a1 := fmt.Sprintf("%p", args[0]), fmt.Sprintf("%p", args[1])
+		if a0 > a1 {
+			fmt.Fprintf(&b, ":%s:%s", a1, a0)
+			return b.String()
+		}
+	}
+	for _, a := range args {
+		fmt.Fprintf(&b, ":%p", a)
+	}
+	return b.String()
+}
+
+func TestCSEKeyMatchesStringKey(t *testing.T) {
+	src := `
+func @f (i32 %x, i32 %y) void {
+ entry:
+  %l1 = const l4 "01XZ"
+  %l2 = const l4 "01XZ"
+  %l3 = const l4 "01X0"
+  %t1 = const time 1ns
+  %t2 = const time 1ns
+  %t3 = const time 1ns 1d
+  %a1 = [i32 %x, %y, %x, %x]
+  %a2 = [i32 %x, %y, %x, %y]
+  %s1 = {i32 %x, i32 %y, i32 %x, i32 %x}
+  %s2 = {i32 %x, i32 %y, i32 %x, i32 %y}
+  %d1 = sub i32 %x, %y
+  %d2 = sub i32 %y, %x
+  ret
+}
+`
+	cases := []struct {
+		a, b string
+		same bool
+	}{
+		{"l1", "l2", true},
+		{"l1", "l3", false},
+		{"t1", "t2", true},
+		{"t1", "t3", false},
+		{"a1", "a2", false},
+		{"s1", "s2", false},
+		{"d1", "d2", false},
+	}
+	m := assembly.MustParse("m", src)
+	f := m.Unit("f")
+	byName := map[string]*ir.Inst{}
+	f.ForEachInst(func(_ *ir.Block, in *ir.Inst) { byName[in.ValueName()] = in })
+	tails := cseTails{}
+	for _, c := range cases {
+		a, b := byName[c.a], byName[c.b]
+		if got := tails.key(a) == tails.key(b); got != c.same {
+			t.Errorf("struct key %s == %s: %v, want %v", c.a, c.b, got, c.same)
+		}
+		if got := stringCSEKey(a) == stringCSEKey(b); got != c.same {
+			t.Errorf("string key %s == %s: %v, want %v", c.a, c.b, got, c.same)
+		}
+	}
+
+	// CSE keeps exactly one instruction per distinct key.
+	mustRun(t, CSE(), m)
+	for _, c := range []struct {
+		op   ir.Opcode
+		want int
+	}{
+		{ir.OpConstLogic, 2}, {ir.OpConstTime, 2}, {ir.OpArray, 2}, {ir.OpStruct, 2}, {ir.OpSub, 2},
+	} {
+		if got := countOps(f, c.op); got != c.want {
+			t.Errorf("%d %s after CSE, want %d", got, c.op, c.want)
+		}
+	}
+}
+
+func TestDCE(t *testing.T) {
+	src := `
+func @g (i32 %x) void {
+ entry:
+  ret
+}
+func @f (i1 %c, i32 %x) i32 {
+ entry:
+  %z = const i32 0
+  %a = add i32 %x, %z
+  %b = mul i32 %a, %a
+  %d = sub i32 %b, %x
+  br %c, %l, %r
+ l:
+  br %j
+ r:
+  br %j
+ j:
+  %p = phi i32 [%x, %l], [%z, %r]
+  %v = var i32 %z
+  st i32* %v, %x
+  call void @g (i32 %x)
+  ret i32 %x
+}
+proc @q () -> (i32$ %o) {
+ entry:
+  %z = const i32 0
+  %t = const time 1ns
+  drv i32$ %o, %z after %t
+  halt
+}
+`
+	m := assembly.MustParse("m", src)
+	if !mustRun(t, DCE(), m) {
+		t.Fatal("DCE reported no change")
+	}
+	f := m.Unit("f")
+	// The dead chain add → mul → sub goes in one run; mul uses add twice
+	// and counts as one use of it.
+	for _, op := range []ir.Opcode{ir.OpAdd, ir.OpMul, ir.OpSub, ir.OpPhi} {
+		if n := countOps(f, op); n != 0 {
+			t.Errorf("%d dead %s left", n, op)
+		}
+	}
+	for _, c := range []struct {
+		u  *ir.Unit
+		op ir.Opcode
+	}{
+		{f, ir.OpConstInt}, {f, ir.OpVar}, {f, ir.OpSt}, {f, ir.OpCall}, {m.Unit("q"), ir.OpDrv},
+	} {
+		if countOps(c.u, c.op) != 1 {
+			t.Errorf("@%s: %s removed", c.u.Name, c.op)
+		}
+	}
+	if mustRun(t, DCE(), m) {
+		t.Error("second DCE run reported a change")
 	}
 }
 

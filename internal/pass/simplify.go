@@ -1,10 +1,6 @@
 package pass
 
-import (
-	"slices"
-
-	"llhd/internal/ir"
-)
+import "llhd/internal/ir"
 
 // InstSimplify returns the IS peephole pass (§4.1), the analog of LLVM's
 // instruction combining: short instruction sequences are reduced to
@@ -26,8 +22,10 @@ func isAllOnes(in *ir.Inst) bool {
 }
 
 // simplifyInst returns a replacement value for in (or nil), and reports
-// whether it rewrote the instruction in place.
-func simplifyInst(in *ir.Inst) (ir.Value, bool) {
+// whether it rewrote the instruction in place. repl holds the sweep's
+// pending replacements: in's own operands are already resolved through it,
+// and the returned value is resolved by the caller.
+func simplifyInst(in *ir.Inst, repl map[ir.Value]ir.Value) (ir.Value, bool) {
 	// Normalize: put a constant operand second for commutative ops.
 	if in.Op.IsCommutative() && len(in.Args) == 2 {
 		if _, ok := constOf(in.Args[0]); ok {
@@ -128,6 +126,7 @@ func simplifyInst(in *ir.Inst) (ir.Value, bool) {
 	case ir.OpMux:
 		// mux over identical choices collapses.
 		if arr, ok := x(0).(*ir.Inst); ok && arr.Op == ir.OpArray && len(arr.Args) > 0 {
+			arr.ReplaceOperands(repl)
 			same := true
 			for _, a := range arr.Args[1:] {
 				if a != arr.Args[0] {
@@ -175,23 +174,32 @@ func simplifyInst(in *ir.Inst) (ir.Value, bool) {
 // simplifyUnit applies every replacement and in-place rewrite in one
 // sweep, and sweeps again while one changes something: a replacement can
 // simplify an instruction already passed (a loop phi fed by a later
-// value). Replacements delete instructions and in-place rewrites only
-// turn eq/neq into not/xor, so the loop ends.
+// value). The sweep records replacements and resolves each instruction's
+// operands through them before simplifying it, then rewrites the rest of
+// the unit in one walk. Replacements delete instructions and in-place
+// rewrites only turn eq/neq into not/xor, so the loop ends.
 func simplifyUnit(u *ir.Unit) (bool, error) {
 	changed := false
 	for {
 		rewrote := false
+		repl := map[ir.Value]ir.Value{}
 		for _, b := range u.Blocks {
-			for _, in := range slices.Clone(b.Insts) {
-				r, mutated := simplifyInst(in)
-				if r != nil && r != in {
-					u.ReplaceAllUses(in, r)
-					b.Remove(in)
-					mutated = true
-				}
+			b.RemoveIf(func(in *ir.Inst) bool {
+				in.ReplaceOperands(repl)
+				r, mutated := simplifyInst(in, repl)
 				rewrote = rewrote || mutated
-			}
+				if r == nil {
+					return false
+				}
+				if r = ir.Resolve(repl, r); r == in {
+					return false
+				}
+				repl[in] = r
+				rewrote = true
+				return true
+			})
 		}
+		u.ReplaceUses(repl)
 		if !rewrote {
 			break
 		}

@@ -21,54 +21,58 @@ func (t *TRMap) SameTR(a, b *ir.Block) bool { return t.Of[a] == t.Of[b] }
 //  3. If they have distinct TRs, generate a new TR.
 //
 // The rules are iterated to a fixed point to handle loops within a region.
+// Blocks are worked on by their position in the unit; block i reserves
+// fresh id i, and the ids are compacted in block order at the end.
 func TemporalRegions(u *ir.Unit) *TRMap {
-	t := &TRMap{Of: map[*ir.Block]int{}}
-	if len(u.Blocks) == 0 {
+	n := len(u.Blocks)
+	t := &TRMap{Of: make(map[*ir.Block]int, n)}
+	if n == 0 {
 		return t
 	}
-	preds := u.Preds()
-	// Stable fresh ids: one reserved per block, compacted afterwards.
-	fresh := map[*ir.Block]int{}
 	for i, b := range u.Blocks {
-		fresh[b] = i
+		t.Of[b] = i
+	}
+	preds := make([][]int, n)
+	waitPred := make([]bool, n)
+	for i, b := range u.Blocks {
+		term := b.Terminator()
+		for _, s := range b.Succs() {
+			if si, ok := t.Of[s]; ok {
+				preds[si] = append(preds[si], i)
+				waitPred[si] = waitPred[si] || term.Op == ir.OpWait
+			}
+		}
 	}
 
-	assign := map[*ir.Block]int{}
-	for iter := 0; iter <= len(u.Blocks)+1; iter++ {
+	const unassigned = -1
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = unassigned
+	}
+	for iter := 0; iter <= n+1; iter++ {
 		changed := false
-		for _, b := range u.Blocks {
-			var want int
-			switch {
-			case b == u.Entry() || hasWaitPred(preds[b]):
-				want = fresh[b]
-			default:
-				trs := map[int]bool{}
-				unassigned := false
-				for _, p := range preds[b] {
-					if tr, ok := assign[p]; ok {
-						trs[tr] = true
-					} else {
-						unassigned = true
+		for i := range u.Blocks {
+			want := i // fresh: rule 1, rule 3, or no predecessor assigned yet
+			if i != 0 && !waitPred[i] {
+				// Rule 2: inherit the one TR the assigned predecessors
+				// share; an unassigned predecessor is corrected by a later
+				// iteration.
+				inherit, distinct := unassigned, false
+				for _, p := range preds[i] {
+					switch tr := assign[p]; {
+					case tr == unassigned:
+					case inherit == unassigned:
+						inherit = tr
+					case tr != inherit:
+						distinct = true
 					}
 				}
-				switch {
-				case len(trs) == 1 && !unassigned:
-					for tr := range trs {
-						want = tr
-					}
-				case len(trs) == 1 && unassigned:
-					// Tentatively inherit; later iterations correct it.
-					for tr := range trs {
-						want = tr
-					}
-				case len(trs) == 0:
-					want = fresh[b] // unreachable or all preds unassigned
-				default:
-					want = fresh[b] // rule 3: distinct TRs
+				if inherit != unassigned && !distinct {
+					want = inherit
 				}
 			}
-			if cur, ok := assign[b]; !ok || cur != want {
-				assign[b] = want
+			if assign[i] != want {
+				assign[i] = want
 				changed = true
 			}
 		}
@@ -78,25 +82,19 @@ func TemporalRegions(u *ir.Unit) *TRMap {
 	}
 
 	// Compact ids in block order.
-	remap := map[int]int{}
-	for _, b := range u.Blocks {
-		id := assign[b]
-		if _, ok := remap[id]; !ok {
-			remap[id] = len(remap)
+	remap := make([]int, n)
+	for i := range remap {
+		remap[i] = unassigned
+	}
+	for i, b := range u.Blocks {
+		id := assign[i]
+		if remap[id] == unassigned {
+			remap[id] = t.Count
+			t.Count++
 		}
 		t.Of[b] = remap[id]
 	}
-	t.Count = len(remap)
 	return t
-}
-
-func hasWaitPred(preds []*ir.Block) bool {
-	for _, p := range preds {
-		if term := p.Terminator(); term != nil && term.Op == ir.OpWait {
-			return true
-		}
-	}
-	return false
 }
 
 // ExitBlocks returns, per TR, the blocks whose terminator leaves the
