@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance perfbench-test bench bench-kernel bench-lower bench-table2 bench-farm
+.PHONY: check build vet fmt-check test test-race test-timeout fuzz-smoke serve-smoke conformance perfbench-test bench bench-kernel bench-lower bench-table2 bench-farm
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -11,6 +11,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any tracked Go file is not gofmt-clean, listing the
+# offenders. It reads only files under version control, so build output
+# (such as the benchmark's .bench_build) stays out of it.
+fmt-check:
+	@files="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	test -z "$$files" || { echo "gofmt needed on:"; echo "$$files"; exit 1; }
 
 # -shuffle=on randomizes test order so hidden inter-test state
 # dependencies surface in CI instead of in the field.

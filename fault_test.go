@@ -309,3 +309,102 @@ func TestPoisonedSessionSemantics(t *testing.T) {
 		})
 	}
 }
+
+// runawayRecursionSrc is a process calling a function that only calls
+// itself. Unbounded, the recursion grows the Go stack until the runtime
+// aborts the whole process, which no recover can contain.
+const runawayRecursionSrc = `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  call void @loop ()
+  halt
+}
+func @loop () void {
+ entry:
+  call void @loop ()
+  ret
+}
+`
+
+// spinningFuncSrc is a process calling a function that loops forever in
+// zero time: the function body's own step budget must stop it.
+const spinningFuncSrc = `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  call void @spin ()
+  halt
+}
+func @spin () void {
+ entry:
+  br %entry
+}
+`
+
+// TestRunawayFunctionIsStepLimit requires both engines that execute calls
+// to stop a runaway function — an unbounded recursion at
+// engine.MaxCallDepth nested calls, an endless loop at the function step
+// budget — with a classified step-limit error, through a plain Session
+// and through a Farm.
+func TestRunawayFunctionIsStepLimit(t *testing.T) {
+	designs := []struct{ name, src, want string }{
+		{"recursion", runawayRecursionSrc, "call depth exceeded in @loop"},
+		{"spin", spinningFuncSrc, "@spin: step budget exhausted"},
+	}
+	for _, d := range designs {
+		for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze} {
+			opts := func(t *testing.T) []llhd.SessionOption {
+				m, err := llhd.ParseAssembly(d.name, d.src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return []llhd.SessionOption{llhd.FromModule(m), llhd.Top("top"), llhd.Backend(kind)}
+			}
+			t.Run(fmt.Sprintf("%s/%v/session", d.name, kind), func(t *testing.T) {
+				s, err := llhd.NewSession(opts(t)...)
+				if err != nil {
+					t.Fatalf("NewSession: %v", err)
+				}
+				runErr := s.Run()
+				checkStepLimit(t, runErr, d.want)
+				if !errors.Is(s.Err(), llhd.ErrStepLimit) {
+					t.Errorf("Err() = %v, want the sticky step-limit error", s.Err())
+				}
+				checkPartialStats(t, runErr, s.Finish())
+			})
+			t.Run(fmt.Sprintf("%s/%v/farm", d.name, kind), func(t *testing.T) {
+				var farm llhd.Farm
+				r := farm.Run(context.Background(), llhd.FarmJob{Name: d.name, Options: opts(t)})[0]
+				checkStepLimit(t, r.Err, d.want)
+				checkPartialStats(t, r.Err, r.Stats)
+			})
+		}
+	}
+}
+
+// checkStepLimit verifies that err is a classified step-limit failure
+// whose diagnostic contains want.
+func checkStepLimit(t *testing.T, err error, want string) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("runaway function must fail the run")
+	}
+	if !errors.Is(err, llhd.ErrStepLimit) {
+		t.Errorf("errors.Is(%v, ErrStepLimit) = false", err)
+	}
+	if got := llhd.ErrorClass(err); got != "step-limit" {
+		t.Errorf("ErrorClass = %q, want step-limit (err: %v)", got, err)
+	}
+	var re *llhd.RuntimeError
+	if !errors.As(err, &re) {
+		t.Fatalf("error is not a *RuntimeError: %v", err)
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
+	}
+}

@@ -37,6 +37,7 @@ const maxJumps = 100_000_000
 type Runtime struct {
 	prog  *Program
 	pools [][]*Frame // by Unit.FuncIdx
+	depth int        // live function frames, bounded by engine.MaxCallDepth
 }
 
 // NewRuntime builds a session-private runtime over a shared program.
@@ -54,8 +55,13 @@ func (rt *Runtime) Exec(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID
 }
 
 // invoke runs a compiled function on a pooled call frame, seeding its
-// arguments from the caller's registers.
+// arguments from the caller's registers. A call nested deeper than
+// engine.MaxCallDepth fails as a step-limit error instead of recursing
+// until the Go stack overflows.
 func (rt *Runtime) invoke(e *engine.Engine, fu *Unit, caller []val.Value, argRegs []int32) (val.Value, error) {
+	if rt.depth >= engine.MaxCallDepth {
+		return val.Value{}, fmt.Errorf("call depth exceeded in @%s: %w", fu.Name, engine.ErrStepLimit)
+	}
 	fr := rt.acquire(fu)
 	defer rt.release(fu, fr)
 	for i, as := range fu.Args {
@@ -64,7 +70,7 @@ func (rt *Runtime) invoke(e *engine.Engine, fu *Unit, caller []val.Value, argReg
 	st, err := rt.run(e, fu, fr, 0)
 	switch {
 	case err == errStepBudget:
-		return val.Value{}, fmt.Errorf("@%s: step budget exhausted", fu.Name)
+		return val.Value{}, fmt.Errorf("@%s: step budget exhausted: %w", fu.Name, engine.ErrStepLimit)
 	case err != nil:
 		return val.Value{}, err
 	case st == StatusSuspend:
@@ -75,8 +81,9 @@ func (rt *Runtime) invoke(e *engine.Engine, fu *Unit, caller []val.Value, argReg
 
 // acquire returns a pooled call frame with its register file reset from
 // the constant template (non-constant slots read as zero values, exactly
-// like a freshly allocated file).
+// like a freshly allocated file), and counts it against the call depth.
 func (rt *Runtime) acquire(fu *Unit) *Frame {
+	rt.depth++
 	for len(rt.pools) <= fu.FuncIdx {
 		rt.pools = append(rt.pools, nil)
 	}
@@ -91,9 +98,10 @@ func (rt *Runtime) acquire(fu *Unit) *Frame {
 	return fu.newFuncFrame()
 }
 
-// release returns a call frame to its pool; recursion pops deeper
-// frames, so release order is naturally LIFO.
+// release returns a call frame to its pool and the call depth; recursion
+// pops deeper frames, so release order is naturally LIFO.
 func (rt *Runtime) release(fu *Unit, fr *Frame) {
+	rt.depth--
 	rt.pools[fu.FuncIdx] = append(rt.pools[fu.FuncIdx], fr)
 }
 

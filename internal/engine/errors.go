@@ -15,8 +15,9 @@ import (
 // failure. Callers classify with errors.Is (the RuntimeError unwraps to
 // its kind and its cause) and inspect with errors.As.
 var (
-	// ErrStepLimit: the deterministic instant budget (Engine.StepLimit or
-	// a per-wake livelock guard) was exhausted.
+	// ErrStepLimit: a deterministic execution budget was exhausted: the
+	// instant budget (Engine.StepLimit), a per-activation livelock guard,
+	// or the call-depth bound (MaxCallDepth).
 	ErrStepLimit = errors.New("step limit exceeded")
 	// ErrDeadline: the wall-clock deadline passed (Engine.Deadline, or a
 	// context with a deadline).
@@ -37,6 +38,13 @@ var (
 	// recovered panic, a malformed drive, an invalid ProcID.
 	ErrInternal = errors.New("internal runtime error")
 )
+
+// MaxCallDepth bounds function-call nesting in every engine that executes
+// calls: an activation may run at most this many nested function frames.
+// A deeper call is a runaway recursion; both the interpreter and blaze
+// report it as an ErrStepLimit failure instead of growing the Go stack
+// until the runtime aborts the process.
+const MaxCallDepth = 1000
 
 // kinds lists the taxonomy for classification scans; order matters only
 // in that ErrInternal is the fallback and is not scanned.

@@ -4,28 +4,17 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"llhd/internal/ir"
 )
 
 // Info describes one registered pass: its canonical name (always equal to
-// the Pass.Name() of the constructed pass), the accepted aliases, the unit
-// kinds it transforms (empty means all kinds), and its constructor.
-//
-// The Kinds field is the pass's legal-ordering constraint made explicit:
-// every pass in the registry is required to be a semantic no-op on units
-// outside its kinds and on shapes it does not recognise, so *any* sequence
-// of registered passes is verify-legal. That property is exactly what the
-// pipeline fuzzer (internal/fuzz, llhd-fuzz -pipeline) exercises: random
-// orderings must keep ir.Verify green after every application and preserve
-// observable behaviour against the unoptimized reference.
+// the Pass.Name() of the constructed pass), the accepted aliases, and its
+// constructor.
 //
 // TemporalRegions (tr.go) and the DNF builder (dnf.go) are analyses used
 // by tcm/tcfe/deseq, not standalone passes, so they do not appear here.
 type Info struct {
 	Name    string
 	Aliases []string
-	Kinds   []ir.UnitKind
 	New     func() Pass
 }
 
@@ -33,23 +22,31 @@ type Info struct {
 // first, then the lowering passes in LoweringPipeline order, then the
 // structural cleanups of Figure 5.
 var registry = []Info{
-	{Name: "inline", Kinds: []ir.UnitKind{ir.UnitFunc, ir.UnitProc}, New: Inline},
-	{Name: "mem2reg", Kinds: []ir.UnitKind{ir.UnitFunc, ir.UnitProc}, New: Mem2Reg},
+	{Name: "inline", New: Inline},
+	{Name: "mem2reg", New: Mem2Reg},
 	{Name: "constant-fold", Aliases: []string{"cf", "fold"}, New: ConstantFold},
 	{Name: "inst-simplify", Aliases: []string{"is", "simplify"}, New: InstSimplify},
 	{Name: "cse", New: CSE},
 	{Name: "dce", New: DCE},
-	{Name: "ecm", Kinds: []ir.UnitKind{ir.UnitProc, ir.UnitFunc}, New: ECM},
-	{Name: "tcm", Kinds: []ir.UnitKind{ir.UnitProc}, New: TCM},
-	{Name: "tcfe", Kinds: []ir.UnitKind{ir.UnitProc, ir.UnitFunc}, New: TCFE},
-	{Name: "process-lowering", Aliases: []string{"pl"}, Kinds: []ir.UnitKind{ir.UnitProc}, New: ProcessLowering},
-	{Name: "deseq", Kinds: []ir.UnitKind{ir.UnitProc}, New: Desequentialize},
-	{Name: "inline-entities", Aliases: []string{"flatten"}, Kinds: []ir.UnitKind{ir.UnitEntity}, New: InlineEntities},
-	{Name: "signal-forwarding", Kinds: []ir.UnitKind{ir.UnitEntity}, New: SignalForwarding},
+	{Name: "ecm", New: ECM},
+	{Name: "tcm", New: TCM},
+	{Name: "tcfe", New: TCFE},
+	{Name: "process-lowering", Aliases: []string{"pl"}, New: ProcessLowering},
+	{Name: "deseq", New: Desequentialize},
+	{Name: "inline-entities", Aliases: []string{"flatten"}, New: InlineEntities},
+	{Name: "signal-forwarding", New: SignalForwarding},
 }
 
 // Registry returns the pass registry in canonical order. The slice is a
 // copy; callers may reorder it freely.
+//
+// Any ordering is verify-legal: every registered pass is a semantic no-op
+// on the unit kinds it does not transform (each unit pass's kinds, each
+// module pass's own kind gate) and on shapes it does not recognise. That
+// property is exactly what the pipeline fuzzer (internal/fuzz, llhd-fuzz
+// -pipeline) exercises: random orderings must keep ir.Verify green after
+// every application and preserve observable behaviour against the
+// unoptimized reference.
 func Registry() []Info {
 	out := make([]Info, len(registry))
 	copy(out, registry)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"llhd/internal/engine"
 	"llhd/internal/ir"
 	"llhd/internal/val"
 )
@@ -42,39 +41,6 @@ type frame struct {
 type memSlot struct {
 	v     val.Value
 	freed bool
-}
-
-// sigTable is the dense signal-reference table shared by the process and
-// entity interpreters: elaborated bindings seeded from the instance, plus
-// signal projections (extf/exts on signals) recorded at runtime.
-type sigTable struct {
-	sigs     []engine.SigRef // value ID -> signal reference
-	sigKnown []bool
-}
-
-// seedSigs sizes the table and copies the instance's elaborated bindings.
-func (t *sigTable) seedSigs(inst *engine.Instance, n int) {
-	t.sigs = make([]engine.SigRef, n)
-	t.sigKnown = make([]bool, n)
-	refs, bound := inst.BindTable()
-	copy(t.sigs, refs)
-	copy(t.sigKnown, bound)
-}
-
-// sigOf resolves an operand to a signal reference, if it is one.
-func (t *sigTable) sigOf(v ir.Value) (engine.SigRef, bool) {
-	if id := ir.ValueID(v); id >= 0 && t.sigKnown[id] {
-		return t.sigs[id], true
-	}
-	return engine.SigRef{}, false
-}
-
-// setSig records a runtime signal projection.
-func (t *sigTable) setSig(v ir.Value, r engine.SigRef) {
-	if id := ir.ValueID(v); id >= 0 {
-		t.sigs[id] = r
-		t.sigKnown[id] = true
-	}
 }
 
 // constStamp marks a slot holding an elaboration-time constant; such slots

@@ -167,17 +167,23 @@ func @bad () i32 {
 	}
 }
 
-// freeRunnerSrc is a never-halting clock generator plus edge counter: every
-// step exercises the interpreter's probes, drives, var/ld/st memory,
-// branches, phis-free jumps, and wait re-arming, forever.
+// freeRunnerSrc is a never-halting clock generator, edge counter and
+// register: every step exercises all three unit kinds on the
+// interpreter's one dispatch loop — process probes, drives, var/ld/st
+// memory, branches, phis-free jumps and wait re-arming; a process-to-
+// function call; and entity wakes with prb, drv and an edge-triggered
+// reg — forever.
 const freeRunnerSrc = `
 entity @top () -> () {
   %z1 = const i1 0
   %z32 = const i32 0
   %clk = sig i1 %z1
   %count = sig i32 %z32
+  %q = sig i32 %z32
+  %nq = sig i32 %z32
   inst @clkgen () -> (i1$ %clk)
   inst @counter (i1$ %clk) -> (i32$ %count)
+  inst @ff (i1$ %clk, i32$ %count) -> (i32$ %q, i32$ %nq)
 }
 proc @clkgen () -> (i1$ %clk) {
  entry:
@@ -202,7 +208,6 @@ proc @clkgen () -> (i1$ %clk) {
 }
 proc @counter (i1$ %clk) -> (i32$ %count) {
  init:
-  %one = const i32 1
   %dz = const time 0s
   %clk0 = prb i1$ %clk
   wait %check for %clk
@@ -213,16 +218,31 @@ proc @counter (i1$ %clk) -> (i32$ %count) {
   br %pos, %init, %bump
  bump:
   %c = prb i32$ %count
-  %cn = add i32 %c, %one
+  %cn = call i32 @inc (i32 %c)
   drv i32$ %count, %cn after %dz
   br %init
+}
+func @inc (i32 %x) i32 {
+ entry:
+  %one = const i32 1
+  %r = add i32 %x, %one
+  ret i32 %r
+}
+entity @ff (i1$ %clk, i32$ %d) -> (i32$ %q, i32$ %nq) {
+  %dz = const time 0s
+  %clkp = prb i1$ %clk
+  %dp = prb i32$ %d
+  reg i32$ %q, %dp rise %clkp after %dz
+  %n = not i32 %dp
+  drv i32$ %nq, %n after %dz
 }
 `
 
 // TestInterpWakeHotPathAllocFree is the interpreter sibling of the
 // kernel's TestDriveWakeHotPathAllocFree: once frames, wait sets and the
 // slot pool are warm, a full engine step through an interpreted design
-// (probes, drives, var/ld/st, branches, waits) must not allocate. This is
+// (process, entity and function activations: probes, drives, var/ld/st,
+// branches, waits, calls, reg) must not allocate. This is
 // also the enforcement hook for the slot-frame rework: a map[ir.Value]
 // environment on any per-wake path reappears here as per-step
 // map-assignment allocations.
@@ -241,6 +261,9 @@ func TestInterpWakeHotPathAllocFree(t *testing.T) {
 	}
 	if err := e.Err(); err != nil {
 		t.Fatalf("warmup: %v", err)
+	}
+	if e.SignalByName("top.q").Value().Bits == 0 || e.SignalByName("top.nq").Value().Bits == 0 {
+		t.Fatal("register entity never fired; entity wakes not exercised")
 	}
 	avg := testing.AllocsPerRun(500, func() {
 		e.Step()

@@ -175,27 +175,74 @@ func TestSessionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A function calling a process: blaze rejects the call target when it
+	// compiles @f, the interpreter when it executes the call.
+	funcCallsProc := func(kind llhd.EngineKind) []llhd.SessionOption {
+		m, err := llhd.ParseAssembly("funccallsproc", funcCallsProcSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []llhd.SessionOption{llhd.FromModule(m), llhd.Top("top"), llhd.Backend(kind)}
+	}
 	cases := []struct {
 		name string
 		opts []llhd.SessionOption
+		// want, when set, is a substring the error must carry; such a
+		// design may also fail at Run instead of at NewSession.
+		want string
 	}{
-		{"no source", []llhd.SessionOption{llhd.Top("x")}},
-		{"both sources", []llhd.SessionOption{llhd.FromModule(m), llhd.FromSystemVerilog(toggleSrc)}},
-		{"svsim needs source", []llhd.SessionOption{llhd.FromModule(m), llhd.Backend(llhd.SVSim)}},
-		{"svsim needs top", []llhd.SessionOption{llhd.FromSystemVerilog(toggleSrc), llhd.Backend(llhd.SVSim)}},
+		{"no source", []llhd.SessionOption{llhd.Top("x")}, ""},
+		{"both sources", []llhd.SessionOption{llhd.FromModule(m), llhd.FromSystemVerilog(toggleSrc)}, ""},
+		{"svsim needs source", []llhd.SessionOption{llhd.FromModule(m), llhd.Backend(llhd.SVSim)}, ""},
+		{"svsim needs top", []llhd.SessionOption{llhd.FromSystemVerilog(toggleSrc), llhd.Backend(llhd.SVSim)}, ""},
 		{"unknown observer path", []llhd.SessionOption{
 			llhd.FromModule(m), llhd.Top("toggle_tb"),
-			llhd.WithObserver(&llhd.TraceObserver{}, "toggle_tb.nope")}},
-		{"unknown top", []llhd.SessionOption{llhd.FromModule(m), llhd.Top("nope")}},
+			llhd.WithObserver(&llhd.TraceObserver{}, "toggle_tb.nope")}, ""},
+		{"unknown top", []llhd.SessionOption{llhd.FromModule(m), llhd.Top("nope")}, ""},
+		{"interp func calls proc", funcCallsProc(llhd.Interp), "call target @q is a proc"},
+		{"blaze func calls proc", funcCallsProc(llhd.Blaze), "call target @q is a proc"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := llhd.NewSession(c.opts...); err == nil {
-				t.Error("NewSession unexpectedly succeeded")
+			s, err := llhd.NewSession(c.opts...)
+			if err == nil && c.want != "" {
+				err = s.Run()
+			}
+			if err == nil {
+				t.Fatal("NewSession unexpectedly succeeded")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
 	}
 }
+
+// funcCallsProcSrc has a function that calls a process, which ir.Verify
+// does not check: every engine must reject the call target instead of
+// running the process body as a function.
+const funcCallsProcSrc = `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  call void @f ()
+  halt
+}
+func @f () void {
+ entry:
+  call void @q ()
+  ret
+}
+proc @q () -> () {
+ entry:
+  %t = const time 1ns
+  wait %next for %t
+ next:
+  halt
+}
+`
 
 // failAfterWriter accepts n Write calls, then errors: a disk-full
 // stand-in.
